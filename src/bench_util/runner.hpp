@@ -45,7 +45,7 @@ struct EngineRunConfig {
   std::int32_t shard_count = 0;
   std::string shard_partition = PcOptions{}.shard_partition;
   /// NUMA placement policy (see PcOptions::numa_policy): "auto", "off",
-  /// or "forced". Consumed by the sharded, hybrid and process engines.
+  /// or "forced". Consumed by the sharded and process engines.
   std::string numa_policy = PcOptions{}.numa_policy;
   /// Process-engine knobs (see PcOptions::rank_count/rank_threads):
   /// forked worker ranks and the std::thread team inside each; ignored

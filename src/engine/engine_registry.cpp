@@ -53,13 +53,6 @@ EngineRegistry::EngineRegistry() {
                    "CI-level parallelism over the dynamic work pool "
                    "(Section IV-B)"},
                   make_ci_parallel_engine);
-  register_engine({EngineKind::kHybrid,
-                   "hybrid(edge+sample)",
-                   {"hybrid", "auto"},
-                   "per-edge granularity by predicted workload: straggler "
-                   "edges get sample-parallel builds, light edges run "
-                   "edge-parallel over the batched table kernel"},
-                  make_hybrid_engine);
   register_engine({EngineKind::kAsync,
                    "async(depth-overlap)",
                    {"async", "overlap"},

@@ -38,9 +38,9 @@ struct EngineInfo {
 class EngineRegistry {
  public:
   /// A standalone registry pre-populated with the builtin engines (the
-  /// five paper engines plus the hybrid extension). Most callers want the
-  /// process-wide instance() instead; standalone registries exist for
-  /// tests and sandboxed extension experiments.
+  /// five paper engines plus the async, sharded and process extensions).
+  /// Most callers want the process-wide instance() instead; standalone
+  /// registries exist for tests and sandboxed extension experiments.
   EngineRegistry();
 
   /// The process-wide registry. Registration is not thread-safe;

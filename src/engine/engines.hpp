@@ -1,8 +1,8 @@
 // Factories for the builtin engines: the five paper engines plus the
-// hybrid extension. Each is defined in its own translation unit under
-// src/engine/; the EngineRegistry constructor is their only in-tree
-// caller — everything else selects engines by name or EngineKind through
-// the registry.
+// async, sharded and process extensions. Each is defined in its own
+// translation unit under src/engine/; the EngineRegistry constructor is
+// their only in-tree caller — everything else selects engines by name or
+// EngineKind through the registry.
 #pragma once
 
 #include <memory>
@@ -29,11 +29,6 @@ namespace fastbns {
 /// Fast-BNS-par (Section IV-B): CI-level parallelism with the dynamic
 /// work pool.
 [[nodiscard]] std::unique_ptr<SkeletonEngine> make_ci_parallel_engine();
-
-/// Hybrid edge+sample extension: per-edge granularity by predicted
-/// workload — straggler edges get sample-parallel table builds, light
-/// edges run edge-parallel over the batched TableBuilder kernel.
-[[nodiscard]] std::unique_ptr<SkeletonEngine> make_hybrid_engine();
 
 /// Async depth-overlap extension: CI-level pool scheduling where threads
 /// idling in a depth's tail prepare the next depth's work list

@@ -79,11 +79,10 @@ class SkeletonEngine {
     return false;
   }
 
-  /// Whether the engine may build tables sample-parallel at all —
-  /// through its test configuration (above) or by retargeting the test
-  /// per edge (the hybrid engine's heavy route). Consulted by the
-  /// driver's up-front sanity check: capping every permitted table below
-  /// the thread count would make such builds pure atomic contention.
+  /// Whether the engine may build tables sample-parallel at all; defaults
+  /// to wants_sample_parallel_test(). Consulted by the driver's up-front
+  /// sanity check: capping every permitted table below the thread count
+  /// would make such builds pure atomic contention.
   [[nodiscard]] virtual bool uses_sample_parallel_builds() const noexcept {
     return wants_sample_parallel_test();
   }

@@ -190,20 +190,6 @@ FaultSchedule FaultSchedule::from_env() {
       schedule = FaultSchedule{};
     }
   }
-  if (const char* spec = std::getenv("FASTBNS_PROCESS_DIE_AT_DEPTH")) {
-    // Legacy "rank:depth" kill injection; anything else is ignored,
-    // exactly like the pre-fault-subsystem hook.
-    int rank = -1;
-    int depth = -1;
-    if (std::sscanf(spec, "%d:%d", &rank, &depth) == 2 && rank >= 0 &&
-        depth >= 0) {
-      FaultEvent event;
-      event.kind = FaultKind::kKill;
-      event.rank = rank;
-      event.depth = depth;
-      schedule.events.push_back(event);
-    }
-  }
   return schedule;
 }
 

@@ -69,7 +69,8 @@ BayesianNetwork generate_random_network(const RandomNetworkConfig& config) {
   variables.reserve(static_cast<std::size_t>(n));
   for (VarId v = 0; v < n; ++v) {
     Variable variable;
-    variable.name = "V" + std::to_string(v);
+    variable.name = "V";
+    variable.name += std::to_string(v);
     variable.cardinality = static_cast<std::int32_t>(rng.uniform_int(
         config.min_cardinality, config.max_cardinality));
     variables.push_back(std::move(variable));

@@ -15,7 +15,9 @@ struct Variable {
 
   [[nodiscard]] std::string state_name(std::int32_t state) const {
     if (static_cast<std::size_t>(state) < states.size()) return states[state];
-    return "s" + std::to_string(state);
+    std::string name = "s";
+    name += std::to_string(state);
+    return name;
   }
 };
 

@@ -130,51 +130,6 @@ std::int64_t process_work_tests_early_stop(EdgeWork& work, std::int32_t depth,
   return process_impl<true>(work, depth, max_tests, test, use_group_protocol);
 }
 
-std::int64_t process_work_tests_batched(EdgeWork& work, std::int32_t depth,
-                                        std::uint64_t max_tests,
-                                        std::size_t batch_size, CiTest& test) {
-  if (batch_size == 0) {
-    throw std::invalid_argument(
-        "process_work_tests_batched: batch_size must be >= 1");
-  }
-  if (work.finished() || max_tests == 0) return 0;
-  test.begin_group(work.x, work.y);
-
-  const auto d = static_cast<std::size_t>(depth);
-  const std::uint64_t total = work.total_tests();
-  const std::uint64_t end =
-      std::min<std::uint64_t>(total, work.progress + max_tests);
-
-  std::int64_t executed = 0;
-  std::vector<VarId> flat;
-  std::vector<VarId> z;
-  std::vector<CiResult> results;
-  while (work.progress < end) {
-    const auto count = static_cast<std::size_t>(std::min<std::uint64_t>(
-        batch_size, end - work.progress));
-    flat.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      conditioning_set_for(work, depth, work.progress + i, z);
-      flat.insert(flat.end(), z.begin(), z.end());
-    }
-    results.assign(count, CiResult{});
-    test.test_batch_in_group(flat, depth, results);
-    executed += static_cast<std::int64_t>(count);
-    work.progress += count;
-
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!results[i].independent) continue;
-      // Lowest rank of the batch wins — identical outcome to the
-      // one-test-at-a-time loops.
-      work.removed = true;
-      work.sepset.assign(flat.begin() + static_cast<std::ptrdiff_t>(i * d),
-                         flat.begin() + static_cast<std::ptrdiff_t>((i + 1) * d));
-      return executed;
-    }
-  }
-  return executed;
-}
-
 ShardPartition shard_partition_from_string(std::string_view name) {
   if (name == "contiguous") return ShardPartition::kContiguous;
   if (name == "round-robin") return ShardPartition::kRoundRobin;

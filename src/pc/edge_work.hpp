@@ -31,13 +31,6 @@ struct EdgeWork {
   std::uint64_t total2 = 0;  ///< C(|candidates2|, d); 0 when ungrouped
   std::uint64_t progress = 0;  ///< next CI-test rank r
 
-  // Workload-prediction slots — filled by engines that cost edges before
-  // scheduling them (see the hybrid engine and perfmodel/workload_model):
-  // predicted cost of the remaining tests in effective streamed values,
-  // and the table-build route the prediction chose.
-  double predicted_cost = 0.0;
-  bool sample_parallel_route = false;
-
   // Outcome slots — written by exactly one thread (the current holder).
   bool removed = false;
   std::vector<VarId> sepset;
@@ -91,18 +84,6 @@ std::int64_t process_work_tests(EdgeWork& work, std::int32_t depth,
 std::int64_t process_work_tests_early_stop(EdgeWork& work, std::int32_t depth,
                                            std::uint64_t max_tests, CiTest& test,
                                            bool use_group_protocol);
-
-/// Runs up to `max_tests` CI tests of `work` in batches of `batch_size`
-/// through CiTest::test_batch_in_group (always via the group protocol),
-/// stopping after the first batch that contains an accepting test. The
-/// lowest-rank accepting set of that batch defines the sepset, so the
-/// outcome is identical to process_work_tests at any batch size; only the
-/// executed-test count carries the batch's redundancy (at most
-/// batch_size - 1 extra tests, mirroring the gs redundancy of Section
-/// IV-B). Returns the number of CI tests executed.
-std::int64_t process_work_tests_batched(EdgeWork& work, std::int32_t depth,
-                                        std::uint64_t max_tests,
-                                        std::size_t batch_size, CiTest& test);
 
 /// Materializes all conditioning sets of `work` (flattened, each of size
 /// `depth`) — the naive baseline's memory-hungry strategy. Throws

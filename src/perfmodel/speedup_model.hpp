@@ -33,13 +33,6 @@ struct CacheModelParams {
   double cache_line_bytes = 64.0;    ///< B
   double value_bytes = 4.0;          ///< the paper assumes 4-byte values
   double dram_to_cache_ratio = 8.0;  ///< T_DRAM / T_cache
-  /// T_DRAM_remote / T_DRAM_local — the interconnect penalty a miss pays
-  /// when the line's home is another NUMA domain. The paper's model is
-  /// uniform-memory; 1.0 (the default) reproduces it exactly. Consumed
-  /// by the locality extension of predict_edge_cost (the remote_fraction
-  /// parameter scales only the streaming term by it), never by
-  /// cache_speedup itself, which stays the paper's S_cache.
-  double remote_access_multiplier = 1.0;
 };
 
 /// S_cache = T3 / T4 for one cache line's worth of samples.

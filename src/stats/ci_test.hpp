@@ -51,12 +51,12 @@ class CiTest {
                                    std::int32_t depth,
                                    std::span<CiResult> results);
 
-  /// Hint from engines that pick table-build granularity per edge (the
-  /// hybrid engine): when supported, subsequent tables are counted
-  /// sample-parallel (true) or serially (false). Returns false when the
-  /// test has no such distinction (the d-separation oracle). The getter
-  /// reports the mode currently in force, so engines can save and
-  /// restore it around a retargeted phase.
+  /// Runtime retarget of the table-build granularity: when supported,
+  /// subsequent tables are counted sample-parallel (true) or serially
+  /// (false). Returns false when the test has no such distinction (the
+  /// d-separation oracle). The process engine's ranks switch it off,
+  /// because sample-parallel builds are OpenMP regions. The getter
+  /// reports the mode currently in force.
   virtual bool set_sample_parallel(bool enabled) {
     (void)enabled;
     return false;
@@ -65,9 +65,9 @@ class CiTest {
     return false;
   }
 
-  /// Workload metadata for cost-predicting engines: the number of samples
-  /// one test streams and the state count of a variable. Data-free tests
-  /// return 0, which routes every edge to the light path.
+  /// Workload metadata for probes and logs: the number of samples one
+  /// test streams and the state count of a variable. Data-free tests
+  /// return 0.
   [[nodiscard]] virtual Count workload_samples() const noexcept { return 0; }
   [[nodiscard]] virtual std::int64_t workload_states(VarId v) const noexcept {
     (void)v;
@@ -98,12 +98,8 @@ class CiTest {
   }
 
   /// Name of the TableBuilder kernel batched counting goes through
-  /// ("simd", "batched", ...). Tests that build no contingency tables —
-  /// the oracle, the Fisher-z test — report "n/a", which
-  /// builder_throughput_scale maps to the neutral 1.0 exactly like an
-  /// empty name, so cost-predicting engines degrade to the uniform model
-  /// instead of assuming a discrete kernel exists
-  /// (perfmodel/workload_model.hpp).
+  /// ("simd", "batched", ...), for probes and logs. Tests that build no
+  /// contingency tables — the oracle, the Fisher-z test — report "n/a".
   [[nodiscard]] virtual std::string_view table_builder_name() const noexcept {
     return "n/a";
   }

@@ -17,8 +17,7 @@
 //    instance (engines clone one instance per thread);
 //  * an optional sample-parallel build (OpenMP + atomics), which exists to
 //    reproduce the paper's *negative* result for sample-level parallelism
-//    — and which cost-predicting engines re-enable per edge through
-//    set_sample_parallel() when one edge's tests dominate a depth.
+//    and which engines retarget at runtime through set_sample_parallel().
 #pragma once
 
 #include <cstdint>
@@ -100,7 +99,7 @@ class DiscreteCiTest final : public CiTest {
     return options_.max_cells;
   }
   /// Kernel the batch entry counts through ("simd", "batched", ...), for
-  /// cost-predicting engines and logs.
+  /// probes and logs.
   [[nodiscard]] std::string_view table_builder_name() const noexcept override;
 
   /// Folds every clone-visible knob — the dataset, the full

@@ -161,9 +161,8 @@ Count GaussianCiTest::workload_samples() const noexcept {
 
 std::int64_t GaussianCiTest::workload_states(VarId v) const noexcept {
   (void)v;
-  // Continuous variables have no state count; 2 ranks every edge equally
-  // in the hybrid cost model (which only compares relative costs) while
-  // keeping its clamped products meaningful.
+  // Continuous variables have no state count; a uniform 2 keeps products
+  // of state counts meaningful.
   return 2;
 }
 

@@ -50,9 +50,9 @@ class GaussianCiTest final : public CiTest {
   CiResult test(VarId x, VarId y, std::span<const VarId> z) override;
   [[nodiscard]] std::unique_ptr<CiTest> clone() const override;
 
-  /// Cost-model metadata: a Fisher-z "test" streams no data (the matrix
-  /// is prebuilt), but the relative sizes still rank edges usefully —
-  /// samples enter through the z-scaling and states are uniform.
+  /// Workload metadata: a Fisher-z "test" streams no data (the matrix is
+  /// prebuilt); samples enter through the z-scaling and states are
+  /// uniform.
   [[nodiscard]] Count workload_samples() const noexcept override;
   [[nodiscard]] std::int64_t workload_states(VarId v) const noexcept override;
   /// The doubles column — the NUMA first-touch surface for the one-time

@@ -266,14 +266,13 @@ std::unique_ptr<TableBuilder> make_table_builder(std::string_view name) {
     // Installing the sample-parallel kernel as the *main* builder would
     // nest its OpenMP team inside every edge-parallel worker and serialize
     // batch entries into contended atomic builds; sample-parallel routing
-    // is owned by the engines (EngineRunConfig::sample_parallel, the
-    // hybrid engine's heavy route), which flip CiTest::set_sample_parallel
-    // onto the dedicated builder instead.
+    // is owned by the engines (EngineRunConfig::sample_parallel,
+    // CiTest::set_sample_parallel), which select the dedicated builder
+    // instead.
     throw std::invalid_argument(
         "table builder \"sample-parallel\" is not name-selectable: "
-        "sample-parallel builds are routed by the engines (--engine sample "
-        "or the hybrid engine's heavy route), not configured as the main "
-        "kernel");
+        "sample-parallel builds are routed by the engines (--engine "
+        "sample), not configured as the main kernel");
   }
   if (name == "batched") return make_batched_table_builder();
   if (name == "simd") return make_simd_table_builder();

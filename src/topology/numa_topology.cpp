@@ -257,7 +257,17 @@ ScopedThreadAffinity::ScopedThreadAffinity(const std::vector<int>& cpus) {
 }
 
 ScopedThreadAffinity::~ScopedThreadAffinity() {
-  if (pinned_) (void)pin_current_thread(saved_);
+#if defined(__linux__)
+  if (!pinned_) return;
+  // Set the saved mask verbatim: pin_current_thread intersects with the
+  // current, already narrowed mask, so it could never widen back.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  for (const int cpu : saved_) {
+    if (cpu >= 0 && cpu < CPU_SETSIZE) CPU_SET(cpu, &saved);
+  }
+  (void)sched_setaffinity(0, sizeof(saved), &saved);
+#endif
 }
 
 std::size_t prefault_readonly(const void* data, std::size_t size) {

@@ -63,10 +63,4 @@ struct ShardPlacement {
                                                   std::int32_t shard_count,
                                                   const NumaTopology& topology);
 
-/// Balanced contiguous variable→domain map: the memory-domain layout the
-/// contiguous shard partition + block shard→domain deal produces, shared
-/// by the hybrid engine's locality estimate and the cachesim NUMA replay.
-[[nodiscard]] std::vector<std::int32_t> contiguous_var_domains(
-    std::int32_t num_vars, std::int32_t num_domains);
-
 }  // namespace fastbns

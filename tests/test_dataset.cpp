@@ -211,15 +211,15 @@ TEST(Dataset, KindDispatchAndAccessorGuards) {
   EXPECT_FALSE(discrete.is_continuous());
   EXPECT_EQ(discrete.num_vars(), 2);
   EXPECT_EQ(discrete.num_samples(), 3);
-  EXPECT_NO_THROW(discrete.discrete());
-  EXPECT_THROW(discrete.continuous(), std::logic_error);
+  EXPECT_NO_THROW((void)discrete.discrete());
+  EXPECT_THROW((void)discrete.continuous(), std::logic_error);
   EXPECT_EQ(discrete.continuous_ptr(), nullptr);
 
   const Dataset continuous(ContinuousDataset(2, 3));
   EXPECT_EQ(continuous.kind(), DatasetKind::kContinuous);
   EXPECT_TRUE(continuous.is_continuous());
-  EXPECT_NO_THROW(continuous.continuous());
-  EXPECT_THROW(continuous.discrete(), std::logic_error);
+  EXPECT_NO_THROW((void)continuous.continuous());
+  EXPECT_THROW((void)continuous.discrete(), std::logic_error);
   EXPECT_EQ(std::string(to_string(DatasetKind::kDiscrete)), "discrete");
   EXPECT_EQ(std::string(to_string(DatasetKind::kContinuous)), "continuous");
 }

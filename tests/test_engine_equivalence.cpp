@@ -188,40 +188,36 @@ TEST(EngineEquivalence, NumaForcedPlacementIsResultIdentical) {
   // (real sched_setaffinity under the "2" affinity-split form, no-ops
   // under the synthetic "2x2" form — both swept here), and the one-time
   // first-touch prefault of each shard's column slices. None of it may
-  // change a bit of the result, for the sharded engine or for the hybrid
-  // engine's locality-extended cost routing.
+  // change a bit of the sharded engine's result.
   static const SkeletonResult reference = reference_result();
   const VarId n = fixture().data.num_vars();
   for (const char* topology : {"2", "2x2"}) {
     setenv("FASTBNS_NUMA", topology, 1);
-    for (const char* engine : {"sharded", "hybrid"}) {
-      for (const char* policy : {"auto", "off", "forced"}) {
-        for (const std::int32_t shards : {2, 5}) {
-          for (const char* partition : {"contiguous", "round-robin"}) {
-            PcOptions options;
-            options.engine = engine_from_string(engine);
-            options.engine_name = engine;
-            options.num_threads = 2;
-            options.shard_count = shards;
-            options.shard_partition = partition;
-            options.numa_policy = policy;
-            const DiscreteCiTest test(fixture().data, {});
-            const SkeletonResult result = learn_skeleton(n, test, options);
-            const std::string label = std::string("FASTBNS_NUMA=") +
-                                      topology + " " + engine + " numa=" +
-                                      policy + " shards=" +
-                                      std::to_string(shards) + "/" + partition;
-            EXPECT_TRUE(result.graph == reference.graph) << label;
-            for (VarId u = 0; u < n; ++u) {
-              for (VarId v = u + 1; v < n; ++v) {
-                const auto* expected = reference.sepsets.find(u, v);
-                const auto* actual = result.sepsets.find(u, v);
-                ASSERT_EQ(expected == nullptr, actual == nullptr)
+    for (const char* policy : {"auto", "off", "forced"}) {
+      for (const std::int32_t shards : {2, 5}) {
+        for (const char* partition : {"contiguous", "round-robin"}) {
+          PcOptions options;
+          options.engine = EngineKind::kSharded;
+          options.num_threads = 2;
+          options.shard_count = shards;
+          options.shard_partition = partition;
+          options.numa_policy = policy;
+          const DiscreteCiTest test(fixture().data, {});
+          const SkeletonResult result = learn_skeleton(n, test, options);
+          const std::string label = std::string("FASTBNS_NUMA=") +
+                                    topology + " numa=" + policy +
+                                    " shards=" + std::to_string(shards) +
+                                    "/" + partition;
+          EXPECT_TRUE(result.graph == reference.graph) << label;
+          for (VarId u = 0; u < n; ++u) {
+            for (VarId v = u + 1; v < n; ++v) {
+              const auto* expected = reference.sepsets.find(u, v);
+              const auto* actual = result.sepsets.find(u, v);
+              ASSERT_EQ(expected == nullptr, actual == nullptr)
+                  << label << ": " << u << "," << v;
+              if (expected != nullptr) {
+                EXPECT_EQ(*expected, *actual)
                     << label << ": " << u << "," << v;
-                if (expected != nullptr) {
-                  EXPECT_EQ(*expected, *actual)
-                      << label << ": " << u << "," << v;
-                }
               }
             }
           }
@@ -388,52 +384,6 @@ TEST(EngineEquivalence, EagerGroupStopNeverExecutesMoreTests) {
   const SkeletonResult baseline =
       learn_skeleton(fixture().data.num_vars(), test, gs1);
   EXPECT_EQ(stopped.total_ci_tests, baseline.total_ci_tests);
-}
-
-TEST(EngineEquivalence, HybridHeavyRouteIsResultIdentical) {
-  // The main fixture's 1200 samples stay under the workload model's
-  // sample-parallel floor, so the hybrid engine's heavy route never
-  // engages there. This fixture crosses it, forcing straggler edges
-  // through sample-parallel table builds — the results must still be
-  // identical to the sequential reference.
-  RandomNetworkConfig config;
-  config.num_nodes = 14;
-  config.num_edges = 22;
-  config.seed = 101;
-  const BayesianNetwork network = generate_random_network(config);
-  Rng rng(102);
-  const DiscreteDataset data =
-      forward_sample(network, 9000, rng, DataLayout::kBoth);
-
-  PcOptions reference_options;
-  reference_options.engine = engine_from_string("fastbns-seq");
-  const DiscreteCiTest reference_test(data, {});
-  const SkeletonResult reference =
-      learn_skeleton(data.num_vars(), reference_test, reference_options);
-
-  for (const int threads : {2, 4}) {
-    PcOptions options;
-    options.engine = engine_from_string("hybrid");
-    options.engine_name = "hybrid";
-    options.num_threads = threads;
-    const DiscreteCiTest test(data, {});
-    const SkeletonResult result =
-        learn_skeleton(data.num_vars(), test, options);
-    EXPECT_TRUE(result.graph == reference.graph) << "t=" << threads;
-    const VarId n = data.num_vars();
-    for (VarId u = 0; u < n; ++u) {
-      for (VarId v = u + 1; v < n; ++v) {
-        const auto* expected = reference.sepsets.find(u, v);
-        const auto* actual = result.sepsets.find(u, v);
-        ASSERT_EQ(expected == nullptr, actual == nullptr)
-            << "t=" << threads << ": " << u << "," << v;
-        if (expected != nullptr) {
-          EXPECT_EQ(*expected, *actual) << "t=" << threads << ": " << u << ","
-                                        << v;
-        }
-      }
-    }
-  }
 }
 
 TEST(EngineEquivalence, GaussianSkeletonIdenticalAcrossRegisteredEngines) {

@@ -16,14 +16,13 @@ namespace {
 
 TEST(EngineRegistry, ListsTheBuiltinEnginesSorted) {
   const std::vector<std::string> names = list_engines();
-  ASSERT_GE(names.size(), 9u);
+  ASSERT_GE(names.size(), 8u);
   // list_engines() is the stable, sorted order CLI help enumerates.
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   for (const char* expected :
        {"naive-seq", "fastbns-seq", "edge-parallel", "sample-parallel",
-        "fastbns-par(ci-level)", "hybrid(edge+sample)",
-        "async(depth-overlap)", "sharded(var-partition)",
-        "process(rank-partition)"}) {
+        "fastbns-par(ci-level)", "async(depth-overlap)",
+        "sharded(var-partition)", "process(rank-partition)"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }
@@ -33,13 +32,12 @@ TEST(EngineRegistry, ListsTheBuiltinEnginesSorted) {
   // sorts.
   const std::vector<std::string> registration_order =
       EngineRegistry{}.names();
-  ASSERT_EQ(registration_order.size(), 9u);
+  ASSERT_EQ(registration_order.size(), 8u);
   EXPECT_EQ(registration_order[0], "naive-seq");
   EXPECT_EQ(registration_order[4], "fastbns-par(ci-level)");
-  EXPECT_EQ(registration_order[5], "hybrid(edge+sample)");
-  EXPECT_EQ(registration_order[6], "async(depth-overlap)");
-  EXPECT_EQ(registration_order[7], "sharded(var-partition)");
-  EXPECT_EQ(registration_order[8], "process(rank-partition)");
+  EXPECT_EQ(registration_order[5], "async(depth-overlap)");
+  EXPECT_EQ(registration_order[6], "sharded(var-partition)");
+  EXPECT_EQ(registration_order[7], "process(rank-partition)");
 }
 
 TEST(EngineRegistry, CanonicalNamesRoundTrip) {
@@ -52,8 +50,8 @@ TEST(EngineRegistry, KindsRoundTripThroughNames) {
   for (const EngineKind kind :
        {EngineKind::kNaiveSequential, EngineKind::kFastSequential,
         EngineKind::kEdgeParallel, EngineKind::kSampleParallel,
-        EngineKind::kCiParallel, EngineKind::kHybrid, EngineKind::kAsync,
-        EngineKind::kSharded, EngineKind::kProcess}) {
+        EngineKind::kCiParallel, EngineKind::kAsync, EngineKind::kSharded,
+        EngineKind::kProcess}) {
     EXPECT_EQ(engine_from_string(to_string(kind)), kind);
   }
 }
@@ -65,8 +63,6 @@ TEST(EngineRegistry, AliasesResolve) {
   EXPECT_EQ(engine_from_string("sample"), EngineKind::kSampleParallel);
   EXPECT_EQ(engine_from_string("ci"), EngineKind::kCiParallel);
   EXPECT_EQ(engine_from_string("fastbns-par"), EngineKind::kCiParallel);
-  EXPECT_EQ(engine_from_string("hybrid"), EngineKind::kHybrid);
-  EXPECT_EQ(engine_from_string("auto"), EngineKind::kHybrid);
   EXPECT_EQ(engine_from_string("async"), EngineKind::kAsync);
   EXPECT_EQ(engine_from_string("overlap"), EngineKind::kAsync);
   EXPECT_EQ(engine_from_string("sharded"), EngineKind::kSharded);
@@ -76,13 +72,18 @@ TEST(EngineRegistry, AliasesResolve) {
 }
 
 TEST(EngineRegistry, UnknownNameThrowsListingKnownEngines) {
-  try {
-    (void)engine_from_string("warp-drive");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& error) {
-    const std::string message = error.what();
-    EXPECT_NE(message.find("warp-drive"), std::string::npos);
-    EXPECT_NE(message.find("fastbns-par(ci-level)"), std::string::npos);
+  // "hybrid" and "auto" are not engine names either; they fail like any
+  // other unknown name.
+  for (const char* name : {"warp-drive", "hybrid", "auto"}) {
+    try {
+      (void)engine_from_string(name);
+      FAIL() << "expected std::invalid_argument for " << name;
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(name), std::string::npos) << message;
+      EXPECT_NE(message.find("known engines:"), std::string::npos) << message;
+      EXPECT_NE(message.find("fastbns-par(ci-level)"), std::string::npos);
+    }
   }
   EXPECT_THROW((void)EngineRegistry::instance().create("warp-drive"),
                std::invalid_argument);

@@ -2,12 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <vector>
-
-#include "perfmodel/workload_model.hpp"
-#include "stats/simd_dispatch.hpp"
-
 namespace fastbns {
 namespace {
 
@@ -106,191 +100,6 @@ TEST(PerfModel, OverallIsProductOfFactors) {
                    ci_level_speedup(params.ci) *
                        grouping_speedup(params.deletion_ratio) *
                        cache_speedup(params.cache));
-}
-
-TEST(WorkloadModel, EdgeCostScalesWithTestsSamplesAndDepth) {
-  CacheModelParams cache;
-  EdgeWorkload base;
-  base.tests = 10;
-  base.samples = 5000;
-  base.depth = 2;
-  base.xy_states = 4;
-  base.mean_z_states = 3.0;
-  cache.depth = base.depth;
-  const double cost = predict_edge_cost(base, cache);
-  EXPECT_GT(cost, 0.0);
-
-  EdgeWorkload more_tests = base;
-  more_tests.tests = 20;
-  EXPECT_DOUBLE_EQ(predict_edge_cost(more_tests, cache), 2.0 * cost);
-
-  EdgeWorkload more_samples = base;
-  more_samples.samples = 10000;
-  EXPECT_GT(predict_edge_cost(more_samples, cache), cost);
-
-  EdgeWorkload none;
-  none.tests = 0;
-  EXPECT_DOUBLE_EQ(predict_edge_cost(none, cache), 0.0);
-}
-
-TEST(WorkloadModel, PredictedCellsFollowCardinalities) {
-  EdgeWorkload workload;
-  workload.xy_states = 6;
-  workload.mean_z_states = 3.0;
-  workload.depth = 2;
-  EXPECT_DOUBLE_EQ(predict_table_cells(workload), 6.0 * 9.0);
-  workload.depth = 0;
-  EXPECT_DOUBLE_EQ(predict_table_cells(workload), 6.0);
-}
-
-TEST(WorkloadModel, RoutingRequiresStragglerAndLongScans) {
-  const Count long_scan = kMinSampleParallelSamples;
-  // Straggler: the edge alone exceeds a balanced per-thread share.
-  EXPECT_TRUE(route_edge_to_sample_parallel(60.0, 100.0, 4, long_scan));
-  // Balanced edge: stays on the light path.
-  EXPECT_FALSE(route_edge_to_sample_parallel(10.0, 100.0, 4, long_scan));
-  // Serial runs and short scans never pay for atomics.
-  EXPECT_FALSE(route_edge_to_sample_parallel(60.0, 100.0, 1, long_scan));
-  EXPECT_FALSE(route_edge_to_sample_parallel(60.0, 100.0, 4, long_scan - 1));
-  // Unknown sample counts (metadata-free tests) route light.
-  EXPECT_FALSE(route_edge_to_sample_parallel(60.0, 100.0, 4, 0));
-}
-
-TEST(WorkloadModel, BuilderScaleDeflatesOnlyTheStreamingTerm) {
-  EdgeWorkload workload;
-  workload.tests = 10;
-  workload.samples = 5000;
-  workload.depth = 2;
-  workload.xy_states = 4;
-  workload.mean_z_states = 3.0;
-  const CacheModelParams cache;
-  const double scalar_cost = predict_edge_cost(workload, cache);
-  workload.builder_scale = 2.0;
-  const double simd_cost = predict_edge_cost(workload, cache);
-  // Faster counting shrinks the cost, but never below the cell term the
-  // statistic layer still pays at scalar speed.
-  EXPECT_LT(simd_cost, scalar_cost);
-  const double cells_only =
-      static_cast<double>(workload.tests) * predict_table_cells(workload);
-  EXPECT_GT(simd_cost, cells_only);
-  EXPECT_LT(scalar_cost - cells_only, 2.0 * (simd_cost - cells_only) + 1e-9);
-}
-
-TEST(WorkloadModel, DefaultLocalityReproducesTheUniformModelExactly) {
-  // The locality extension must be invisible until switched on: with the
-  // default multiplier (1.0) every remote fraction — and with fraction 0
-  // every multiplier — reproduces the uniform-memory cost bit-for-bit.
-  EdgeWorkload workload;
-  workload.tests = 7;
-  workload.samples = 4321;
-  workload.depth = 2;
-  workload.xy_states = 6;
-  workload.mean_z_states = 2.5;
-  CacheModelParams cache;
-  cache.depth = workload.depth;
-  const double uniform = predict_edge_cost(workload, cache);
-  for (const double fraction : {0.0, 0.25, 1.0}) {
-    EXPECT_DOUBLE_EQ(predict_edge_cost(workload, cache, fraction), uniform);
-  }
-  cache.remote_access_multiplier = 1.6;
-  EXPECT_DOUBLE_EQ(predict_edge_cost(workload, cache, 0.0), uniform);
-  // Sub-unit multipliers are clamped to 1, never a remote *discount*.
-  cache.remote_access_multiplier = 0.5;
-  EXPECT_DOUBLE_EQ(predict_edge_cost(workload, cache, 1.0), uniform);
-}
-
-TEST(WorkloadModel, RemoteAccessesInflateOnlyTheStreamingTerm) {
-  EdgeWorkload workload;
-  workload.tests = 10;
-  workload.samples = 5000;
-  workload.depth = 2;
-  workload.xy_states = 4;
-  workload.mean_z_states = 3.0;
-  CacheModelParams cache;
-  cache.depth = workload.depth;
-  const double local_cost = predict_edge_cost(workload, cache);
-  cache.remote_access_multiplier = 2.0;
-  const double remote_cost = predict_edge_cost(workload, cache, 1.0);
-  EXPECT_GT(remote_cost, local_cost);
-  // The cell term (zeroing + marginalization of thread-local tables)
-  // never pays the interconnect: the inflation must equal the multiplier
-  // applied to the streaming share alone.
-  const double cells =
-      static_cast<double>(workload.tests) * predict_table_cells(workload);
-  EXPECT_NEAR(remote_cost - cells, 2.0 * (local_cost - cells), 1e-9);
-  // Half-remote edges pay half the surcharge; out-of-range fractions
-  // clamp to [0, 1].
-  const double half = predict_edge_cost(workload, cache, 0.5);
-  EXPECT_NEAR(half - cells, 1.5 * (local_cost - cells), 1e-9);
-  EXPECT_DOUBLE_EQ(predict_edge_cost(workload, cache, 7.0), remote_cost);
-  EXPECT_DOUBLE_EQ(predict_edge_cost(workload, cache, -3.0), local_cost);
-}
-
-TEST(WorkloadModel, EdgeRemoteFractionCountsTheStreamedColumns) {
-  // 6 variables split 3/3 across two domains.
-  const std::vector<std::int32_t> domains = {0, 0, 0, 1, 1, 1};
-  // Depth 0: only the two endpoint columns stream.
-  EXPECT_DOUBLE_EQ(edge_remote_fraction(0, 1, 0, domains, 0), 0.0);
-  EXPECT_DOUBLE_EQ(edge_remote_fraction(0, 3, 0, domains, 0), 0.5);
-  EXPECT_DOUBLE_EQ(edge_remote_fraction(3, 4, 0, domains, 0), 1.0);
-  // Depth d adds d conditioning columns at the map-wide remote share
-  // (here 1/2): local endpoints at depth 2 cost (0 + 0 + 2 * 0.5) / 4.
-  EXPECT_DOUBLE_EQ(edge_remote_fraction(0, 1, 2, domains, 0), 0.25);
-  EXPECT_DOUBLE_EQ(edge_remote_fraction(3, 4, 2, domains, 1), 0.25);
-  // From the other domain the same edge flips.
-  EXPECT_DOUBLE_EQ(edge_remote_fraction(0, 1, 2, domains, 1), 0.75);
-  // Degenerate inputs never contribute: empty maps, negative depths and
-  // out-of-map variables are all local.
-  EXPECT_DOUBLE_EQ(edge_remote_fraction(0, 1, 2, {}, 0), 0.0);
-  EXPECT_DOUBLE_EQ(edge_remote_fraction(0, 1, -1, domains, 1), 0.0);
-  EXPECT_DOUBLE_EQ(edge_remote_fraction(97, 98, 0, domains, 0), 0.0);
-}
-
-TEST(WorkloadModel, BuilderThroughputConstantsAreOrdered) {
-  // scalar <= batched <= sse4.2 <= avx2: each tier adds work sharing.
-  EXPECT_DOUBLE_EQ(builder_throughput_scale("scalar"), kScalarBuilderScale);
-  EXPECT_DOUBLE_EQ(builder_throughput_scale("batched"), kBatchedBuilderScale);
-  EXPECT_LE(kScalarBuilderScale, kBatchedBuilderScale);
-  EXPECT_LE(kBatchedBuilderScale, kSse42BuilderScale);
-  EXPECT_LE(kSse42BuilderScale, kAvx2BuilderScale);
-  // Metadata-free tests (empty name) cost like the scalar kernel, and so
-  // does the "n/a" that table-free statistics (Fisher-z, the oracle)
-  // report — the degrade-cleanly contract of CiTest::table_builder_name.
-  EXPECT_DOUBLE_EQ(builder_throughput_scale(""), kScalarBuilderScale);
-  EXPECT_DOUBLE_EQ(builder_throughput_scale("n/a"), kScalarBuilderScale);
-  // "simd"/"auto" resolve through the dispatch tier; forcing the scalar
-  // tier degrades them to the batched constant (the kernel degrades to
-  // the batched scalar pass the same way).
-  const ScopedSimdTierOverride guard(SimdTier::kScalar);
-  EXPECT_DOUBLE_EQ(builder_throughput_scale("simd"), kBatchedBuilderScale);
-  EXPECT_DOUBLE_EQ(builder_throughput_scale("auto"), kBatchedBuilderScale);
-}
-
-TEST(WorkloadModel, SimdBuilderCostsLikeBatchedAtShallowDepths) {
-  // The SIMD kernel counts depth <= 1 runs with the batched scalar pass,
-  // so the depth-aware constant must not overstate its throughput there.
-  EXPECT_DOUBLE_EQ(builder_throughput_scale("simd", 0), kBatchedBuilderScale);
-  EXPECT_DOUBLE_EQ(builder_throughput_scale("auto", 1), kBatchedBuilderScale);
-  EXPECT_DOUBLE_EQ(builder_throughput_scale("simd", 2),
-                   builder_throughput_scale("simd"));
-  // Non-SIMD kernels are depth-independent.
-  EXPECT_DOUBLE_EQ(builder_throughput_scale("batched", 1),
-                   kBatchedBuilderScale);
-  EXPECT_DOUBLE_EQ(builder_throughput_scale("scalar", 0),
-                   kScalarBuilderScale);
-}
-
-TEST(WorkloadModel, RoutingFloorScalesWithLightBuilderThroughput) {
-  // A 2x-faster light kernel doubles the scan length needed before the
-  // scalar-build atomics of the heavy route can win.
-  const Count floor = kMinSampleParallelSamples;
-  EXPECT_TRUE(route_edge_to_sample_parallel(60.0, 100.0, 4, floor, 1.0));
-  EXPECT_FALSE(route_edge_to_sample_parallel(60.0, 100.0, 4, floor, 2.0));
-  EXPECT_TRUE(
-      route_edge_to_sample_parallel(60.0, 100.0, 4, 2 * floor, 2.0));
-  // Scales below 1 never lower the floor.
-  EXPECT_FALSE(
-      route_edge_to_sample_parallel(60.0, 100.0, 4, floor - 1, 0.5));
 }
 
 }  // namespace

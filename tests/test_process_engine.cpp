@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -183,28 +182,6 @@ std::string describe_events(const std::vector<RecoveryEvent>& events) {
             std::string(to_string(event.action)) + ": " + event.detail + "\n";
   }
   return text.empty() ? "(no events)" : text;
-}
-
-TEST(ProcessEngine, LegacyInjectedRankDeathRecoversViaRespawnAndReplay) {
-  // FASTBNS_PROCESS_DIE_AT_DEPTH=rank:depth makes that rank _exit(42)
-  // when the depth's command arrives — the deterministic stand-in for an
-  // OOM-killed or crashed worker. Since the fault-tolerance layer this
-  // no longer kills the run: the supervisor respawns the rank, replays
-  // the committed removal log, and the result stays bit-identical. (The
-  // clear-error contract for unsupervised dead ranks is still covered at
-  // the ProcessGroup level in test_ipc.)
-  setenv("FASTBNS_PROCESS_DIE_AT_DEPTH", "1:1", 1);
-  const fuzz::FuzzInstance instance = fuzz::make_instance(2);
-  std::int64_t reference_tests = 0;
-  const fuzz::SkeletonFingerprint reference =
-      sequential_fingerprint(instance, &reference_tests);
-  const FaultRun run = run_process(instance, process_options(2));
-  unsetenv("FASTBNS_PROCESS_DIE_AT_DEPTH");
-  EXPECT_TRUE(run.fingerprint == reference) << fuzz::describe_divergence(
-      reference, run.fingerprint, instance.data.num_vars());
-  EXPECT_EQ(run.result.total_ci_tests, reference_tests);
-  EXPECT_TRUE(has_action(run.events, RecoveryAction::kRespawn, 1))
-      << describe_events(run.events);
 }
 
 /// The acceptance sweep, shared by the pipe and socket matrices: with

@@ -235,26 +235,22 @@ TEST(Skeleton, ValidateRejectsNonsensicalOptionsUpFront) {
   // The engine-dependent combination — every permitted table smaller
   // than the effective thread count makes sample-parallel builds pure
   // atomic contention — is enforced by the driver once the engine is
-  // resolved: rejected for the engines that build tables that way,
+  // resolved: rejected for the engine that builds tables that way,
   // accepted elsewhere (a tiny cap merely skips tests conservatively).
   PcOptions contention;
   contention.num_threads = 64;
   contention.max_table_cells = 32;
   EXPECT_NO_THROW(contention.validate());  // fields are individually fine
-  for (const EngineKind kind :
-       {EngineKind::kSampleParallel, EngineKind::kHybrid}) {
-    contention.engine = kind;
-    EXPECT_THROW(learn_skeleton(3, oracle, contention),
-                 std::invalid_argument);
-  }
+  contention.engine = EngineKind::kSampleParallel;
+  EXPECT_THROW(learn_skeleton(3, oracle, contention), std::invalid_argument);
   contention.engine = EngineKind::kCiParallel;
   EXPECT_NO_THROW((void)learn_skeleton(3, oracle, contention));
   // By-name selection must not bypass the guard: construction prefers
   // engine_name, and the driver checks the engine it actually resolved.
-  contention.engine_name = "hybrid";
+  contention.engine_name = "sample-parallel";
   EXPECT_THROW(learn_skeleton(3, oracle, contention), std::invalid_argument);
   contention.engine_name.clear();
-  // The same engines pass once the cap clears the thread count.
+  // The same engine passes once the cap clears the thread count.
   PcOptions ok;
   ok.engine = EngineKind::kSampleParallel;
   ok.num_threads = 64;
