@@ -1,7 +1,7 @@
 // Figure 2: execution time of the three parallelism granularities
 // (CI-level, edge-level, sample-level) across thread counts, all built on
-// the optimized sequential kernel (Section V-C), plus the async and
-// sharded extensions.
+// the optimized sequential kernel (Section V-C), plus the async
+// extension.
 //
 // Shapes to reproduce: CI-level is the fastest at every thread count;
 // sample-level is the slowest (atomics + overhead); edge-level sits in
@@ -9,11 +9,7 @@
 // CI-level's pool but spends the depth tail preparing the next depth's
 // work list, so at high thread counts (t >= 8, where the tail is the
 // dominant idle source) it should match or beat CI-level and clearly
-// beat edge-level. The sharded column is edge-level with data placement
-// decided by variable ownership (one contiguous shard per thread); on a
-// single socket it should track edge-level closely — its payoff is the
-// NUMA-pinning follow-on, and the column is here to watch for regressions
-// in the partition machinery itself.
+// beat edge-level.
 #include <cstdio>
 
 #include "bench_util/reporting.hpp"
@@ -41,8 +37,6 @@ EngineRunConfig scheme_config(const std::string& scheme, int threads,
     config.group_size = 8;
     config.eager_group_stop = true;
   }
-  // The sharded scheme keeps its auto defaults (one contiguous shard per
-  // thread) — the configuration the NUMA-pinning follow-on would pin.
   return config;
 }
 
@@ -84,7 +78,7 @@ int main(int argc, char** argv) {
       "sample-level needs atomics and has tiny per-thread workloads.\n");
 
   TablePrinter table({"Data set", "threads", "CI-level(s)", "edge-level(s)",
-                      "sample-level(s)", "async(s)", "sharded(s)"});
+                      "sample-level(s)", "async(s)"});
 
   for (const std::string& name : networks) {
     Count samples = args.get_int("samples");
@@ -105,14 +99,10 @@ int main(int argc, char** argv) {
       const double async_time =
           run_skeleton_best(workload, scheme_config("async", t, builder))
               .seconds;
-      const double sharded_time =
-          run_skeleton_best(workload, scheme_config("sharded", t, builder))
-              .seconds;
       table.add_row({name, std::to_string(t), TablePrinter::num(ci_time, 4),
                      TablePrinter::num(edge_time, 4),
                      TablePrinter::num(sample_time, 4),
-                     TablePrinter::num(async_time, 4),
-                     TablePrinter::num(sharded_time, 4)});
+                     TablePrinter::num(async_time, 4)});
     }
   }
 

@@ -93,7 +93,6 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"Builder", "Threads", "Build s", "GB/s", "Corr checksum",
                       "Skeleton s", "CI tests"});
-  set_bench_pinning_policy("off");
 
   for (const char* builder_name : {"scalar", "blocked"}) {
     const std::unique_ptr<CovarianceBuilder> builder =

@@ -65,7 +65,6 @@ int main(int argc, char** argv) {
   const std::vector<std::int32_t> rank_grid = {1, 2, 4};
   const std::vector<std::int32_t> rank_thread_grid = {1, 2};
   const std::vector<std::string> transport_grid = {"pipe", "socket"};
-  set_bench_pinning_policy("auto");
   set_bench_rank_context(rank_grid.back(), "fork+pipe+shm|fork+socket+file");
 
   TablePrinter table({"Network", "Config", "Transport", "Ranks",

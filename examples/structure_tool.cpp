@@ -12,9 +12,7 @@
 
 #include "common/args.hpp"
 #include "common/csv_writer.hpp"
-#include "common/omp_utils.hpp"
 #include "dataset/dataset_io.hpp"
-#include "engine/engine_common.hpp"
 #include "engine/engine_registry.hpp"
 #include "engine/process_engine.hpp"
 #include "graph/graphviz.hpp"
@@ -22,7 +20,6 @@
 #include "pc/pc_stable.hpp"
 #include "stats/ci_test_factory.hpp"
 #include "stats/table_builder.hpp"
-#include "topology/placement.hpp"
 
 namespace {
 
@@ -78,17 +75,6 @@ int main(int argc, char** argv) {
                 "auto");
   args.add_flag("threads", "worker threads (0 = all)", "0");
   args.add_flag("gs", "work-pool group size", "6");
-  args.add_flag("shards",
-                "variable shards for --engine sharded (0 = one per thread)",
-                "0");
-  args.add_flag("shard-partition",
-                "variable->shard rule for --engine sharded "
-                "(contiguous/round-robin)",
-                "contiguous");
-  args.add_flag("numa",
-                "NUMA placement policy (auto/off/forced; auto pins shard "
-                "thread-groups only on multi-domain topologies)",
-                "auto");
   args.add_flag("ranks",
                 "forked worker ranks for --engine process (0 = auto: two "
                 "ranks, one on a single-cpu box)",
@@ -148,9 +134,6 @@ int main(int argc, char** argv) {
   }
   options.num_threads = static_cast<int>(args.get_int("threads"));
   options.group_size = static_cast<std::int32_t>(args.get_int("gs"));
-  options.shard_count = static_cast<std::int32_t>(args.get_int("shards"));
-  options.shard_partition = args.get("shard-partition");
-  options.numa_policy = args.get("numa");
   options.rank_count = static_cast<std::int32_t>(args.get_int("ranks"));
   options.rank_threads =
       static_cast<std::int32_t>(args.get_int("rank-threads"));
@@ -162,7 +145,7 @@ int main(int argc, char** argv) {
   options.alpha = args.get_double("alpha");
   options.max_depth = static_cast<std::int32_t>(args.get_int("max-depth"));
   try {
-    // Fail fast with the offending value (shard counts, partition rules,
+    // Fail fast with the offending value (rank counts, transports,
     // alpha, ...) instead of surfacing mid-run from the driver.
     options.validate();
   } catch (const std::exception& error) {
@@ -184,39 +167,18 @@ int main(int argc, char** argv) {
     input.data = Dataset(std::move(relaid));
   }
 
-  // Echo the resolved NUMA placement before the run, computed from the
-  // same single sources of truth the sharded engine uses
-  // (resolve_shard_count + plan_shard_placement), so the printed
-  // shard→domain map is exactly the one the run acts on.
-  if (options.engine == EngineKind::kSharded) {
-    const int threads =
-        options.num_threads > 0 ? options.num_threads : hardware_threads();
-    const ShardPlacement placement = plan_shard_placement(
-        numa_policy_from_string(options.numa_policy),
-        resolve_shard_count(options.shard_count, threads),
-        NumaTopology::detect());
-    std::printf("numa policy %s: %s\n", options.numa_policy.c_str(),
-                placement.describe().c_str());
-  }
-  // Same echo for the process engine, whose ranks reuse the shard
-  // placement plan verbatim (ranks are shards), plus the resolved
-  // rank/thread split the forked group will actually run with.
+  // Echo the rank/thread split the forked group will actually run with,
+  // and the resolved transport — "auto" may have been steered by
+  // FASTBNS_IPC_TRANSPORT, and which IPC path carried the run matters
+  // when comparing against a bench row.
   if (options.engine == EngineKind::kProcess) {
     const std::int32_t ranks = resolve_rank_count(options.rank_count);
-    const ShardPlacement placement = plan_shard_placement(
-        numa_policy_from_string(options.numa_policy), ranks,
-        NumaTopology::detect());
-    // Echo the resolved transport too — "auto" may have been steered by
-    // FASTBNS_IPC_TRANSPORT, and which IPC path carried the run matters
-    // when comparing against a bench row.
     std::printf(
-        "process ranks: %d x %d threads; transport %s%s; numa policy %s: %s\n",
-        ranks,
+        "process ranks: %d x %d threads; transport %s%s\n", ranks,
         resolve_rank_threads(options.rank_threads, ranks, options.num_threads),
         std::string(to_string(resolve_transport(options.ipc_transport)))
             .c_str(),
-        options.ipc_transport == "auto" ? " (auto)" : "",
-        options.numa_policy.c_str(), placement.describe().c_str());
+        options.ipc_transport == "auto" ? " (auto)" : "");
   }
 
   // Hold the engine instance ourselves so post-run telemetry (recovery

@@ -1,5 +1,7 @@
 #include "bench_util/reporting.hpp"
 
+#include <sched.h>
+
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -7,7 +9,7 @@
 
 #include "common/csv_writer.hpp"
 #include "common/omp_utils.hpp"
-#include "topology/numa_topology.hpp"
+#include "stats/simd_dispatch.hpp"
 
 namespace fastbns {
 namespace {
@@ -76,12 +78,6 @@ void append_json_cell(std::string& out, const std::string& cell) {
   append_json_string(out, cell);
 }
 
-/// set_bench_pinning_policy state; "unset" until a bench declares one.
-std::string& bench_pinning_policy() {
-  static std::string policy = "unset";
-  return policy;
-}
-
 /// set_bench_rank_context state; single-process until a bench declares
 /// a rank sweep.
 int& bench_rank_count() {
@@ -96,33 +92,24 @@ std::string& bench_ipc_transport() {
 
 }  // namespace
 
-void set_bench_pinning_policy(const std::string& policy) {
-  bench_pinning_policy() = policy;
-}
-
 void set_bench_rank_context(int rank_count, const std::string& transport) {
   bench_rank_count() = rank_count;
   bench_ipc_transport() = transport;
 }
 
 std::string bench_context_json() {
-  const NumaTopology topology = NumaTopology::detect();
-  std::string out = "{\"numa_nodes\": ";
-  out += std::to_string(topology.num_domains());
-  out += ", \"cpus_per_node\": [";
-  const std::vector<NumaDomain>& domains = topology.domains();
-  for (std::size_t d = 0; d < domains.size(); ++d) {
-    if (d > 0) out += ", ";
-    out += std::to_string(domains[d].cpus.size());
-  }
-  out += "], \"physical_cpus\": ";
-  out += topology.cpus_are_physical() ? "true" : "false";
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  const int cpus =
+      sched_getaffinity(0, sizeof(mask), &mask) == 0 ? CPU_COUNT(&mask) : 0;
+  std::string out = "{\"cpus\": ";
+  out += std::to_string(cpus);
   out += ", \"omp_max_threads\": ";
   out += std::to_string(hardware_threads());
   out += ", \"omp_binding_env\": ";
   out += omp_binding_env_active() ? "true" : "false";
-  out += ", \"pinning_policy\": ";
-  append_json_string(out, bench_pinning_policy());
+  out += ", \"simd_tier\": ";
+  append_json_string(out, std::string(to_string(active_simd_tier())));
   out += ", \"rank_count\": ";
   out += std::to_string(bench_rank_count());
   out += ", \"ipc_transport\": ";

@@ -105,9 +105,6 @@ EngineRunResult run_skeleton(const Workload& workload,
   options.alpha = config.alpha;
   options.max_table_cells = config.max_table_cells;
   options.table_builder = config.table_builder;
-  options.shard_count = config.shard_count;
-  options.shard_partition = config.shard_partition;
-  options.numa_policy = config.numa_policy;
   options.ci_test = config.ci_test;
   options.rank_count = config.rank_count;
   options.rank_threads = config.rank_threads;

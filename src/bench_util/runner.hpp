@@ -40,13 +40,6 @@ struct EngineRunConfig {
   bool sample_parallel = false;
   /// Extension: first-accept early stop inside a gs-group (see PcOptions).
   bool eager_group_stop = false;
-  /// Sharded-engine knobs (see PcOptions::shard_count/shard_partition);
-  /// ignored by every other engine.
-  std::int32_t shard_count = 0;
-  std::string shard_partition = PcOptions{}.shard_partition;
-  /// NUMA placement policy (see PcOptions::numa_policy): "auto", "off",
-  /// or "forced". Consumed by the sharded and process engines.
-  std::string numa_policy = PcOptions{}.numa_policy;
   /// Process-engine knobs (see PcOptions::rank_count/rank_threads):
   /// forked worker ranks and the std::thread team inside each; ignored
   /// by every other engine.

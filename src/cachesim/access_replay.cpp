@@ -1,8 +1,5 @@
 #include "cachesim/access_replay.hpp"
 
-#include <stdexcept>
-#include <string>
-
 namespace fastbns {
 
 ReplayResult replay_trace(const std::vector<TracedCiCall>& trace,
@@ -30,95 +27,6 @@ ReplayResult replay_trace(const std::vector<TracedCiCall>& trace,
     }
   }
   return ReplayResult{hierarchy.l1(), hierarchy.last_level()};
-}
-
-namespace {
-
-void validate_domain_vector(const std::vector<std::int32_t>& domains,
-                            std::size_t expected_size, std::int32_t num_domains,
-                            const char* name) {
-  if (domains.size() != expected_size) {
-    throw std::invalid_argument(
-        std::string("replay_trace_numa: ") + name + " has " +
-        std::to_string(domains.size()) + " entries, expected " +
-        std::to_string(expected_size));
-  }
-  for (const std::int32_t d : domains) {
-    if (d < 0 || d >= num_domains) {
-      throw std::invalid_argument(std::string("replay_trace_numa: ") + name +
-                                  " entry " + std::to_string(d) +
-                                  " is outside [0, " +
-                                  std::to_string(num_domains) + ")");
-    }
-  }
-}
-
-}  // namespace
-
-NumaReplayResult replay_trace_numa(const std::vector<TracedCiCall>& trace,
-                                   const NumaReplayConfig& config) {
-  if (config.num_domains < 1) {
-    throw std::invalid_argument("replay_trace_numa: num_domains must be >= 1, got " +
-                                std::to_string(config.num_domains));
-  }
-  validate_domain_vector(config.var_domain,
-                         static_cast<std::size_t>(config.base.num_vars),
-                         config.num_domains, "var_domain");
-  validate_domain_vector(config.exec_domain, trace.size(), config.num_domains,
-                         "exec_domain");
-
-  // One private hierarchy per domain: a domain's threads share its
-  // caches, and caches never see another domain's stream (the model
-  // abstracts coherence traffic away — the replay is read-only).
-  std::vector<MemoryHierarchy> hierarchies;
-  hierarchies.reserve(static_cast<std::size_t>(config.num_domains));
-  for (std::int32_t d = 0; d < config.num_domains; ++d) {
-    hierarchies.emplace_back(config.base.l1, config.base.last_level);
-  }
-
-  NumaReplayResult result;
-  const auto m = static_cast<std::uint64_t>(config.base.num_samples);
-  const auto n = static_cast<std::uint64_t>(config.base.num_vars);
-  const auto value_bytes = static_cast<std::uint64_t>(config.base.value_bytes);
-
-  std::vector<std::uint64_t> vars;
-  for (std::size_t call_index = 0; call_index < trace.size(); ++call_index) {
-    const TracedCiCall& call = trace[call_index];
-    const std::int32_t exec = config.exec_domain[call_index];
-    MemoryHierarchy& hierarchy =
-        hierarchies[static_cast<std::size_t>(exec)];
-
-    vars.clear();
-    vars.push_back(static_cast<std::uint64_t>(call.x));
-    vars.push_back(static_cast<std::uint64_t>(call.y));
-    for (const VarId z : call.z) vars.push_back(static_cast<std::uint64_t>(z));
-
-    for (std::uint64_t s = 0; s < m; ++s) {
-      for (const std::uint64_t v : vars) {
-        const std::uint64_t element =
-            config.base.column_major ? v * m + s : s * n + v;
-        if (!hierarchy.access(element * value_bytes)) {
-          // Fell through both levels: DRAM serves it, local or remote by
-          // the accessed variable's home. Row-major is charged by the
-          // element's owning variable too — its pages interleave
-          // variables, which is exactly why placement assumes the
-          // column-major layout.
-          if (config.var_domain[static_cast<std::size_t>(v)] == exec) {
-            ++result.local_dram_accesses;
-          } else {
-            ++result.remote_dram_accesses;
-          }
-        }
-      }
-    }
-  }
-  for (const MemoryHierarchy& hierarchy : hierarchies) {
-    result.l1.accesses += hierarchy.l1().accesses;
-    result.l1.misses += hierarchy.l1().misses;
-    result.last_level.accesses += hierarchy.last_level().accesses;
-    result.last_level.misses += hierarchy.last_level().misses;
-  }
-  return result;
 }
 
 }  // namespace fastbns

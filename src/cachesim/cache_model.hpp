@@ -56,9 +56,7 @@ class MemoryHierarchy {
 
   /// Accesses L1, falling through to LL on miss. Returns true when some
   /// cache level served the access, false when it missed both and fell
-  /// through to DRAM — the signal the NUMA replay (replay_trace_numa)
-  /// uses to charge the access to the local or the remote memory
-  /// controller.
+  /// through to DRAM.
   bool access(std::uint64_t address);
 
   [[nodiscard]] const CacheStats& l1() const noexcept { return l1_.stats(); }

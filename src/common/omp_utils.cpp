@@ -2,12 +2,9 @@
 
 #include <omp.h>
 
-#include <atomic>
 #include <cctype>
 #include <cstdlib>
 #include <string>
-
-#include "common/logging.hpp"
 
 namespace fastbns {
 
@@ -19,7 +16,7 @@ bool omp_binding_env_active() noexcept {
   // Environment-based detection on purpose: omp_get_proc_bind() reports
   // the *implementation's* resolved policy (some runtimes default to a
   // bound mode with no user intent), while the env vars are exactly the
-  // user-stated binding this warning is about.
+  // user-stated binding.
   if (const char* places = std::getenv("OMP_PLACES");
       places != nullptr && places[0] != '\0') {
     return true;
@@ -31,20 +28,6 @@ bool omp_binding_env_active() noexcept {
     c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
   return value != "false";
-}
-
-bool warn_if_omp_binding_conflicts(std::string_view context) {
-  if (!omp_binding_env_active()) return false;
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true)) {
-    Log(LogLevel::kWarn)
-        << context
-        << ": OMP_PROC_BIND/OMP_PLACES is set while NUMA placement is "
-           "pinning threads; the OpenMP runtime and the engine are both "
-           "managing affinity. Unset the OMP binding variables, or set "
-           "numa_policy=off to leave binding to the runtime.";
-  }
-  return true;
 }
 
 ScopedNumThreads::ScopedNumThreads(int num_threads) noexcept

@@ -47,10 +47,8 @@ class ContinuousDataset {
   /// Contiguous per-variable values (m doubles).
   [[nodiscard]] std::span<const double> column(VarId var) const noexcept;
 
-  /// Read-only bytes of the value column — the NUMA first-touch surface,
-  /// mirroring DiscreteDataset::column_bytes. (The Fisher-z test streams
-  /// columns only during the one-time covariance pass, so prefaulting
-  /// matters for that pass and for re-computations after clones.)
+  /// Read-only bytes of the value column, mirroring
+  /// DiscreteDataset::column_bytes.
   [[nodiscard]] std::span<const std::byte> column_bytes(VarId v) const noexcept;
 
   /// Restriction to the first `count` samples (sample-size sweeps).

@@ -1,6 +1,7 @@
 #include "dataset/dataset_io.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -51,7 +52,9 @@ bool parse_byte_cell(const std::string& cell, int& value) {
   return consumed == cell.size() && value >= 0 && value <= 255;
 }
 
-/// Any finite floating-point number. `value` receives the parse.
+/// Any finite floating-point number; "nan" and "inf" parse but are
+/// rejected, since one of them poisons every statistic of its column.
+/// `value` receives the parse.
 bool parse_double_cell(const std::string& cell, double& value) {
   if (cell.empty()) return false;
   std::size_t consumed = 0;
@@ -60,7 +63,21 @@ bool parse_double_cell(const std::string& cell, double& value) {
   } catch (const std::exception&) {
     return false;
   }
-  return consumed == cell.size();
+  return consumed == cell.size() && std::isfinite(value);
+}
+
+/// The parse error both loaders throw, naming the cell, its data row
+/// (1-based, blank lines skipped), its column and the file.
+std::runtime_error cell_error(const char* loader, const std::string& cell,
+                              Count row, VarId v,
+                              const std::vector<std::string>& names,
+                              const std::string& path, const char* expected) {
+  const std::string column = static_cast<std::size_t>(v) < names.size()
+                                 ? names[static_cast<std::size_t>(v)]
+                                 : std::to_string(v);
+  return std::runtime_error(std::string(loader) + ": cell \"" + cell +
+                            "\" (row " + std::to_string(row) + ", column " +
+                            column + ") in " + path + " " + expected);
 }
 
 }  // namespace
@@ -112,17 +129,20 @@ NamedDataset load_csv(const std::string& path, DataLayout layout,
   if (num_vars == 0) throw std::runtime_error("load_csv: no columns in " + path);
 
   std::vector<std::vector<DataValue>> samples;
+  Count row_index = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
+    ++row_index;
     const std::vector<std::string> cells = split_csv_line(line);
     if (static_cast<VarId>(cells.size()) != num_vars) {
       throw std::runtime_error("load_csv: ragged row in " + path);
     }
     std::vector<DataValue> row(static_cast<std::size_t>(num_vars));
     for (VarId v = 0; v < num_vars; ++v) {
-      const int parsed = std::stoi(cells[v]);
-      if (parsed < 0 || parsed > 255) {
-        throw std::runtime_error("load_csv: value out of byte range in " + path);
+      int parsed = 0;
+      if (!parse_byte_cell(cells[v], parsed)) {
+        throw cell_error("load_csv", cells[v], row_index, v, names, path,
+                         "is not an integer in [0, 255]");
       }
       row[v] = static_cast<DataValue>(parsed);
     }
@@ -188,12 +208,8 @@ NamedData load_csv_auto(const std::string& path, DataLayout layout) {
         continue;
       }
       if (!parse_double_cell(cells[v], numeric)) {
-        throw std::runtime_error(
-            "load_csv_auto: cell \"" + cells[v] + "\" (row " +
-            std::to_string(row_index) + ", column " +
-            (static_cast<std::size_t>(v) < names.size() ? names[v]
-                                                        : std::to_string(v)) +
-            ") in " + path + " is not numeric");
+        throw cell_error("load_csv_auto", cells[v], row_index, v, names, path,
+                         "is not a finite number");
       }
       discrete = false;
       row[static_cast<std::size_t>(v)] = numeric;

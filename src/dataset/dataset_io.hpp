@@ -34,7 +34,9 @@ bool save_csv(const ContinuousDataset& data,
 
 /// Loads a CSV written by save_csv (or any integer CSV with a header).
 /// Cardinalities are inferred as max(value)+1 per column unless
-/// `cardinalities` is provided. Throws std::runtime_error on parse errors.
+/// `cardinalities` is provided. Throws std::runtime_error on parse
+/// errors; a cell that is not an integer in [0, 255] ("3.9", "x", "300")
+/// is named with its row, column and the path.
 [[nodiscard]] NamedDataset load_csv(
     const std::string& path, DataLayout layout = DataLayout::kColumnMajor,
     const std::vector<std::int32_t>& cardinalities = {});
@@ -44,8 +46,8 @@ bool save_csv(const ContinuousDataset& data,
 /// when every cell parses as a floating-point number it loads as a
 /// continuous one (any fractional value, exponent, or integer outside
 /// [0, 255] switches the whole file to continuous — columns are never
-/// mixed-kind). Throws std::runtime_error naming the first
-/// non-numeric cell otherwise.
+/// mixed-kind). Throws std::runtime_error naming the first cell that is
+/// not a finite number ("x", "nan", "inf") otherwise.
 [[nodiscard]] NamedData load_csv_auto(
     const std::string& path, DataLayout layout = DataLayout::kColumnMajor);
 

@@ -113,9 +113,7 @@ class DiscreteDataset {
   /// packed codes8 column when the variable has one (the hot-path
   /// mirror, padded rows included so page-granular passes cover the
   /// whole slice), the column-major value column otherwise, empty when
-  /// neither is materialized. This is the NUMA first-touch surface: a
-  /// placement pass prefaults these pages from the thread-group that
-  /// owns the variable's shard before depth 0 runs.
+  /// neither is materialized.
   [[nodiscard]] std::span<const std::byte> column_bytes(VarId v) const noexcept;
 
   /// Contiguous per-sample values; requires a row-major buffer.

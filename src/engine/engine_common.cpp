@@ -65,33 +65,6 @@ std::vector<std::int64_t> pending_work_indices(
   return indices;
 }
 
-std::vector<int> shard_team_sizes(std::int32_t shard_count, int num_threads) {
-  if (shard_count < 1) {
-    throw std::invalid_argument(
-        "shard_team_sizes: shard_count must be >= 1, got " +
-        std::to_string(shard_count));
-  }
-  if (num_threads < 1) {
-    throw std::invalid_argument(
-        "shard_team_sizes: num_threads must be >= 1, got " +
-        std::to_string(num_threads));
-  }
-  std::vector<int> sizes(static_cast<std::size_t>(shard_count), 1);
-  if (num_threads >= shard_count) {
-    for (std::int32_t s = 0; s < shard_count; ++s) {
-      sizes[static_cast<std::size_t>(s)] =
-          num_threads / shard_count + (s < num_threads % shard_count ? 1 : 0);
-    }
-  }
-  return sizes;
-}
-
-std::int32_t resolve_shard_count(std::int32_t requested,
-                                 int num_threads) noexcept {
-  if (requested > 0) return requested;
-  return std::max(1, num_threads);
-}
-
 std::int64_t process_materialized(EdgeWork& work, std::int32_t depth,
                                   CiTest& test, bool use_group_protocol) {
   std::int64_t executed = 0;

@@ -81,22 +81,6 @@ std::int64_t run_depth_zero_edge_parallel(
 std::int64_t process_materialized(EdgeWork& work, std::int32_t depth,
                                   CiTest& test, bool use_group_protocol);
 
-/// Thread-group sizes of the sharded engine: how many worker threads
-/// serve each shard. Threads are dealt to shards round-robin, so with
-/// T >= S threads the group sizes differ by at most one
-/// (shard s gets T/S threads, plus one when s < T % S); with T < S every
-/// shard still gets a group of one — several shards then time-share a
-/// thread, never the other way round (a shard's works are only ever
-/// touched by its own group). Throws std::invalid_argument when either
-/// argument is < 1.
-[[nodiscard]] std::vector<int> shard_team_sizes(std::int32_t shard_count,
-                                                int num_threads);
-
-/// The effective shard count of a run: `requested` when positive, one
-/// shard per worker thread (the auto default) otherwise; always >= 1.
-[[nodiscard]] std::int32_t resolve_shard_count(std::int32_t requested,
-                                               int num_threads) noexcept;
-
 /// One depth of the sequential kernel, shared by the naive-seq,
 /// fastbns-seq and sample-parallel engines. `grouped` says whether works
 /// fuse both edge directions; when false the classic PC-stable skip

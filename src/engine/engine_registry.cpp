@@ -60,14 +60,6 @@ EngineRegistry::EngineRegistry() {
                    "the next depth's work list (settled-edge candidate sets "
                    "+ records) instead of spinning at the depth barrier"},
                   make_async_engine);
-  register_engine({EngineKind::kSharded,
-                   "sharded(var-partition)",
-                   {"sharded", "shard"},
-                   "variable-partition sharding: each shard's thread-group "
-                   "runs the edges whose lower endpoint it owns against "
-                   "shard-local clones (contiguous or round-robin "
-                   "partition; see PcOptions::shard_count)"},
-                  make_sharded_engine);
   register_engine({EngineKind::kProcess,
                    "process(rank-partition)",
                    {"process", "mpp"},

@@ -38,7 +38,7 @@ struct EngineInfo {
 class EngineRegistry {
  public:
   /// A standalone registry pre-populated with the builtin engines (the
-  /// five paper engines plus the async, sharded and process extensions).
+  /// five paper engines plus the async and process extensions).
   /// Most callers want the process-wide instance() instead; standalone
   /// registries exist for tests and sandboxed extension experiments.
   EngineRegistry();

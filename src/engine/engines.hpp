@@ -1,5 +1,5 @@
 // Factories for the builtin engines: the five paper engines plus the
-// async, sharded and process extensions. Each is defined in its own
+// async and process extensions. Each is defined in its own
 // translation unit under src/engine/; the EngineRegistry constructor is
 // their only in-tree caller — everything else selects engines by name or
 // EngineKind through the registry.
@@ -35,12 +35,6 @@ namespace fastbns {
 /// (per-settled-edge candidate sets + EdgeWork records), handed to the
 /// driver through take_prepared_depth_works.
 [[nodiscard]] std::unique_ptr<SkeletonEngine> make_async_engine();
-
-/// Sharded variable-partition extension: variables partition into shards
-/// (contiguous ranges or round-robin), each shard's thread-group runs the
-/// edges whose lower endpoint it owns against shard-local clones, and the
-/// commit barrier merges removals — bit-identical to edge-parallel.
-[[nodiscard]] std::unique_ptr<SkeletonEngine> make_sharded_engine();
 
 /// Multi-process rank-partition extension: forked worker ranks over a
 /// MAP_SHARED dataset segment, each owning the edges whose lower endpoint

@@ -1,5 +1,5 @@
-// The multi-process rank-partition engine: the sharded engine's variable
-// partition, with processes for shards and an explicit allreduce for the
+// The multi-process rank-partition engine: a contiguous variable
+// partition, one process per part, and an explicit allreduce for the
 // commit barrier — the fork-based first step of the roadmap's distributed
 // (MPI-style) skeleton learning.
 //
@@ -17,8 +17,9 @@
 //    index (endpoint ids double-check every reply; a divergent replica
 //    is a protocol error, not silent corruption). Of that list a rank
 //    executes its shard of edges (VariableShards / shard_work_indices —
-//    ranks *are* shards) plus whatever explicit indices its command
-//    names (re-partitioned work inherited from retired ranks).
+//    ranks *are* shards of contiguous variable ranges) plus whatever
+//    explicit indices its command names (re-partitioned work inherited
+//    from retired ranks).
 //  - The per-depth commit barrier is an allreduce rooted at the driver:
 //    RUN_DEPTH(depth, previous depth's union removal set) goes out to
 //    every rank; each rank applies the removals to its replica, runs its
@@ -51,7 +52,8 @@
 //     no rank survives, the supervisor finishes the current depth's
 //     unmerged works in-process (std::thread clones with the exact rank
 //     semantics) and hands every subsequent depth to the in-process
-//     sharded engine. The run completes; only the topology changed.
+//     edge-parallel engine, whose per-work semantics are the ranks'. The
+//     run completes; only where the works ran changed.
 //
 // Result identity: a rank runs each of its works whole, in canonical
 // rank order with first-accept early stop — the edge-parallel engine's
@@ -88,7 +90,6 @@
 #include "ipc/process_group.hpp"
 #include "ipc/transport.hpp"
 #include "ipc/wire.hpp"
-#include "topology/placement.hpp"
 
 namespace fastbns {
 namespace {
@@ -129,11 +130,6 @@ struct RankConfig {
   VarId num_vars = 0;
   std::int32_t rank_count = 1;
   std::int32_t rank_threads = 1;
-  ShardPartition partition = ShardPartition::kContiguous;
-  /// Pin the rank to these cpus (its NUMA domain) when non-empty.
-  std::vector<int> pin_cpus;
-  /// First-touch the owned variables' column pages before depth 0.
-  bool prefault_columns = false;
   /// The run's deterministic fault schedule; the rank filters it down to
   /// itself through a RankFaultInjector (fault/fault_schedule.hpp).
   FaultSchedule schedule;
@@ -206,18 +202,10 @@ std::int64_t run_shard_works(std::vector<EdgeWork>& works,
 int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
              int result_fd) {
   try {
-    if (!config.pin_cpus.empty()) {
-      // Pin before any allocation or page fault: the clone workspaces
-      // and the first-touch pass below are then domain-local. Threads
-      // created later inherit this affinity.
-      pin_current_thread(config.pin_cpus);
-    }
     RankFaultInjector injector(config.schedule, config.rank);
     UndirectedGraph replica = UndirectedGraph::complete(config.num_vars);
-    const VariableShards shards(config.num_vars, config.rank_count,
-                                config.partition);
+    const VariableShards shards(config.num_vars, config.rank_count);
     std::vector<std::unique_ptr<CiTest>> clones;
-    bool placed = !config.prefault_columns;
     // The last encoded reply, kept verbatim for retransmission: after a
     // corrupt or truncated frame the supervisor asks for these exact
     // bytes again instead of re-running the depth.
@@ -341,18 +329,6 @@ int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
               " works) — replica divergence");
         }
       }
-      if (!placed) {
-        // First-touch the owned variables' column slices from this
-        // (pinned) rank: on the MAP_SHARED segment the placement holds
-        // for every process at once.
-        for (VarId v = 0; v < shards.num_vars(); ++v) {
-          if (shards.shard_of(v) != config.rank) continue;
-          const std::span<const std::byte> bytes =
-              prototype.workload_column_bytes(v);
-          if (!bytes.empty()) prefault_readonly(bytes.data(), bytes.size());
-        }
-        placed = true;
-      }
       if (clones.empty()) {
         clones.reserve(static_cast<std::size_t>(config.rank_threads));
         for (std::int32_t t = 0; t < config.rank_threads; ++t) {
@@ -444,7 +420,7 @@ class ProcessEngine final : public SkeletonEngine {
                          const PcOptions& options) override {
     if (fallback_ != nullptr) {
       // A previous depth degraded; the rest of the run is the in-process
-      // sharded engine's.
+      // edge-parallel engine's.
       return fallback_->run_depth(works, depth, prototype, options);
     }
     const WallTimer depth_timer;
@@ -461,7 +437,7 @@ class ProcessEngine final : public SkeletonEngine {
     // This depth's assignments: the parent derives the same works-index
     // shards the ranks do; retired ranks' shards are dealt round-robin
     // onto the survivors as explicit extras.
-    const VariableShards shards(num_vars_, rank_count_, partition_);
+    const VariableShards shards(num_vars_, rank_count_);
     std::vector<std::vector<std::int64_t>> shard_assign =
         shard_work_indices(works, shards);
     std::vector<int> active;
@@ -782,7 +758,7 @@ class ProcessEngine final : public SkeletonEngine {
                      reason + "; respawn generation " +
                          std::to_string(generation) +
                          " declared failed by the fault schedule — "
-                         "degrading to the in-process sharded engine");
+                         "degrading to the in-process edge-parallel engine");
         return Gather::kDegraded;
       }
       try {
@@ -792,7 +768,8 @@ class ProcessEngine final : public SkeletonEngine {
                      reason + "; respawn generation " +
                          std::to_string(generation) + " failed (" +
                          error.what() +
-                         ") — degrading to the in-process sharded engine");
+                         ") — degrading to the in-process edge-parallel "
+                         "engine");
         return Gather::kDegraded;
       }
       state.generation = generation;
@@ -881,7 +858,7 @@ class ProcessEngine final : public SkeletonEngine {
 
   /// Rung 4: the group is gone (or never existed). Finish this depth's
   /// unmerged works in-process with rank-identical semantics, then hand
-  /// the rest of the run to the in-process sharded engine.
+  /// the rest of the run to the in-process edge-parallel engine.
   std::int64_t finish_depth_degraded(std::vector<EdgeWork>& works,
                                      std::int32_t depth,
                                      const CiTest& prototype,
@@ -904,7 +881,7 @@ class ProcessEngine final : public SkeletonEngine {
       }
       local = run_shard_works(works, indices, depth, local_clones_);
     }
-    fallback_ = make_sharded_engine();
+    fallback_ = make_edge_parallel_engine();
     fallback_->prepare_run();
     (void)options;
     depth_stats_.push_back(
@@ -932,8 +909,7 @@ class ProcessEngine final : public SkeletonEngine {
     backoff_ms_ = options.frame_retry_backoff_ms;
     max_restarts_ = options.max_rank_restarts;
     // The variable domain comes from the first depth's works — depth 0's
-    // complete graph covers every variable — exactly like the sharded
-    // engine's run plan.
+    // complete graph covers every variable.
     num_vars_ = 0;
     for (const EdgeWork& work : works) {
       num_vars_ = std::max(num_vars_, std::max(work.x, work.y) + 1);
@@ -941,22 +917,9 @@ class ProcessEngine final : public SkeletonEngine {
     rank_count_ = resolve_rank_count(options.rank_count);
     rank_threads_ = resolve_rank_threads(options.rank_threads, rank_count_,
                                          options.num_threads);
-    partition_ = shard_partition_from_string(options.shard_partition);
     // "auto" follows FASTBNS_IPC_TRANSPORT (default pipe) — the knob the
     // CI socket leg turns without touching any call site.
     transport_ = resolve_transport(options.ipc_transport);
-    // Rank→domain placement reuses the PR 6 shard plan verbatim: ranks
-    // are shards. Pinning needs physical cpu ids; first-touch follows
-    // the plan's active flag even on simulated topologies (the logic
-    // runs, the pin no-ops — the CI-testable path).
-    const ShardPlacement placement = plan_shard_placement(
-        numa_policy_from_string(options.numa_policy), rank_count_,
-        NumaTopology::detect());
-    if (placement.active) {
-      warn_if_omp_binding_conflicts("process engine");
-    }
-    const bool pin =
-        placement.active && placement.topology.cpus_are_physical();
 
     std::vector<RankConfig> configs(static_cast<std::size_t>(rank_count_));
     for (std::int32_t rank = 0; rank < rank_count_; ++rank) {
@@ -965,14 +928,7 @@ class ProcessEngine final : public SkeletonEngine {
       config.num_vars = num_vars_;
       config.rank_count = rank_count_;
       config.rank_threads = rank_threads_;
-      config.partition = partition_;
-      config.prefault_columns = placement.active;
       config.schedule = schedule_;
-      if (pin) {
-        const auto domain = static_cast<std::size_t>(
-            placement.shard_domain[static_cast<std::size_t>(rank)]);
-        config.pin_cpus = placement.topology.domains()[domain].cpus;
-      }
     }
     const CiTest* prototype_ptr = &prototype;
     rank_main_ = [configs = std::move(configs), prototype_ptr](
@@ -984,7 +940,7 @@ class ProcessEngine final : public SkeletonEngine {
     if (schedule_.spawn_should_fail(/*rank=*/-1, /*generation=*/0)) {
       record_event(depth, -1, RecoveryAction::kDegrade,
                    "initial spawn declared failed by the fault schedule — "
-                   "running in-process with the sharded engine");
+                   "running in-process with the edge-parallel engine");
       return false;
     }
     try {
@@ -992,7 +948,8 @@ class ProcessEngine final : public SkeletonEngine {
     } catch (const std::exception& error) {
       record_event(depth, -1, RecoveryAction::kDegrade,
                    std::string("initial spawn failed (") + error.what() +
-                       ") — running in-process with the sharded engine");
+                       ") — running in-process with the edge-parallel "
+                       "engine");
       return false;
     }
     return true;
@@ -1004,7 +961,6 @@ class ProcessEngine final : public SkeletonEngine {
   std::int32_t rank_count_ = 0;
   std::int32_t rank_threads_ = 1;
   VarId num_vars_ = 0;
-  ShardPartition partition_ = ShardPartition::kContiguous;
   TransportKind transport_ = TransportKind::kPipe;
   FaultSchedule schedule_;
   int deadline_ms_ = kDefaultRankTimeoutMs;

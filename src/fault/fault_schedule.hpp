@@ -25,7 +25,7 @@
 // frame prefix and then severs the connection, the mid-write crash shape
 // a TCP peer produces); the supervisor executes spawn-fail (a
 // fork/respawn that is declared to have failed — the deterministic
-// trigger of the degrade-to-sharded rung). All
+// trigger of the degrade rung, which runs edge-parallel in-process). All
 // randomness (which payload byte a corrupt-frame flips) derives from the
 // schedule's seed plus the event coordinates, so every injected fault —
 // and therefore every recovery path — replays bit-identically.
@@ -63,7 +63,7 @@ enum class FaultKind : std::uint8_t {
   kTruncateFrame,
   /// Declare the fork of this rank (gen > 0: its gen-th respawn;
   /// rank=-1, gen=0: the initial whole-group spawn) to have failed —
-  /// the supervisor must degrade to the in-process sharded engine.
+  /// the supervisor must degrade to the in-process edge-parallel engine.
   kSpawnFail,
   /// Sever the channel without replying when a depth >= the event's
   /// arms: close both channel fds (EOF/FIN at the supervisor) while the

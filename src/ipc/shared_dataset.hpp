@@ -1,13 +1,12 @@
 // MAP_SHARED dataset segment for the multi-process engine.
 //
 // fork() already shares read-only pages copy-on-write, but COW sharing is
-// fragile (any stray write duplicates a page per rank) and says nothing
-// about placement. A SharedDatasetSegment makes the sharing explicit: one
-// anonymous MAP_SHARED mapping, created before the ranks fork, holding
-// the dataset's buffers. Every rank inherits the same mapping at the same
+// fragile (any stray write duplicates a page per rank). A
+// SharedDatasetSegment makes the sharing explicit: one anonymous
+// MAP_SHARED mapping, created before the ranks fork, holding the
+// dataset's buffers. Every rank inherits the same mapping at the same
 // address — the dataset is mapped exactly once machine-wide, zero copies
-// per rank — and NUMA first-touch from a pinned rank places a column
-// slice's physical pages on that rank's domain for every process at once.
+// per rank.
 //
 // The segment is statistic-agnostic: a discrete source lays out the
 // column-major values, packed codes8 mirror, and (when materialized)
@@ -21,7 +20,7 @@
 // writes a self-describing header plus the identical block layout into an
 // unlinked-on-destruction temp file, and open_file maps it read-only from
 // any process given only the path. Fork-inherited ranks keep using the
-// anonymous mode (zero copies, NUMA first-touch); ranks that do NOT share
+// anonymous mode (zero copies); ranks that do NOT share
 // an address space — the socket transport's eventual multi-host workers —
 // receive the path and mmap the one file, so the dataset still exists
 // once per machine. Both code paths feed the same ExternalDataBuffers

@@ -130,52 +130,25 @@ std::int64_t process_work_tests_early_stop(EdgeWork& work, std::int32_t depth,
   return process_impl<true>(work, depth, max_tests, test, use_group_protocol);
 }
 
-ShardPartition shard_partition_from_string(std::string_view name) {
-  if (name == "contiguous") return ShardPartition::kContiguous;
-  if (name == "round-robin") return ShardPartition::kRoundRobin;
-  std::string message =
-      "unknown shard partition \"" + std::string(name) + "\"; known rules:";
-  for (const std::string& known : list_shard_partitions()) {
-    message += ' ';
-    message += known;
-  }
-  throw std::invalid_argument(message);
-}
-
-std::string_view to_string(ShardPartition rule) noexcept {
-  return rule == ShardPartition::kContiguous ? "contiguous" : "round-robin";
-}
-
-std::vector<std::string> list_shard_partitions() {
-  return {"contiguous", "round-robin"};
-}
-
-VariableShards::VariableShards(VarId num_vars, std::int32_t shard_count,
-                               ShardPartition rule)
-    : shard_count_(shard_count) {
+VariableShards::VariableShards(VarId num_vars, std::int32_t num_shards)
+    : num_shards_(num_shards) {
   if (num_vars < 0) {
     throw std::invalid_argument("VariableShards: num_vars must be >= 0, got " +
                                 std::to_string(num_vars));
   }
-  if (shard_count < 1) {
+  if (num_shards < 1) {
     throw std::invalid_argument(
-        "VariableShards: shard_count must be >= 1, got " +
-        std::to_string(shard_count));
+        "VariableShards: num_shards must be >= 1, got " +
+        std::to_string(num_shards));
   }
   shard_of_.resize(static_cast<std::size_t>(num_vars));
-  if (rule == ShardPartition::kRoundRobin) {
-    for (VarId v = 0; v < num_vars; ++v) {
-      shard_of_[static_cast<std::size_t>(v)] = v % shard_count;
-    }
-    return;
-  }
-  // Contiguous: balanced ranges — the first (num_vars % shard_count)
-  // shards own one extra variable; with more shards than variables the
-  // trailing shards own nothing.
-  const VarId base = num_vars / shard_count;
-  const VarId extra = num_vars % shard_count;
+  // Balanced ranges: the first (num_vars % num_shards) shards own one
+  // extra variable; with more shards than variables the trailing shards
+  // own nothing.
+  const VarId base = num_vars / num_shards;
+  const VarId extra = num_vars % num_shards;
   VarId next = 0;
-  for (std::int32_t s = 0; s < shard_count && next < num_vars; ++s) {
+  for (std::int32_t s = 0; s < num_shards && next < num_vars; ++s) {
     const VarId size = base + (s < extra ? 1 : 0);
     for (VarId i = 0; i < size; ++i) {
       shard_of_[static_cast<std::size_t>(next++)] = s;
@@ -186,7 +159,7 @@ VariableShards::VariableShards(VarId num_vars, std::int32_t shard_count,
 std::vector<std::vector<std::int64_t>> shard_work_indices(
     const std::vector<EdgeWork>& works, const VariableShards& shards) {
   std::vector<std::vector<std::int64_t>> result(
-      static_cast<std::size_t>(shards.shard_count()));
+      static_cast<std::size_t>(shards.num_shards()));
   for (std::int64_t i = 0; i < static_cast<std::int64_t>(works.size()); ++i) {
     const EdgeWork& work = works[i];
     const VarId owner = std::min(work.x, work.y);

@@ -8,8 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "combinatorics/combination.hpp"
@@ -92,41 +90,20 @@ std::int64_t process_work_tests_early_stop(EdgeWork& work, std::int32_t depth,
     const EdgeWork& work, std::int32_t depth,
     std::uint64_t limit = std::uint64_t{1} << 27);
 
-/// Variable→shard partition rule of the sharded engine (mirrored as the
-/// PcOptions::shard_partition string).
-enum class ShardPartition : std::uint8_t {
-  /// Balanced contiguous id ranges — adjacent variables share a shard, so
-  /// a shard's thread-group streams a compact slice of the dataset (the
-  /// data-locality default, and the NUMA-pinning stepping stone).
-  kContiguous,
-  /// v mod shards — spreads id-correlated structure (chains, the Munin
-  /// family's locality windows) evenly when contiguous ranges would load
-  /// one shard with the dense region.
-  kRoundRobin,
-};
-
-/// Resolves a rule name ("contiguous" / "round-robin"); throws
-/// std::invalid_argument naming the offending value and the known rules.
-[[nodiscard]] ShardPartition shard_partition_from_string(
-    std::string_view name);
-[[nodiscard]] std::string_view to_string(ShardPartition rule) noexcept;
-/// Known rule names, in declaration order.
-[[nodiscard]] std::vector<std::string> list_shard_partitions();
-
-/// The variable→shard ownership map of the sharded engine. Shards may
-/// outnumber variables (trailing shards own nothing); every variable is
-/// owned by exactly one shard.
+/// The variable→shard ownership map of the process engine (one shard per
+/// rank): balanced contiguous id ranges, so a shard streams a compact
+/// slice of the dataset. Shards may outnumber variables (trailing shards
+/// own nothing); every variable is owned by exactly one shard.
 class VariableShards {
  public:
-  /// Throws std::invalid_argument when num_vars < 0 or shard_count < 1.
-  VariableShards(VarId num_vars, std::int32_t shard_count,
-                 ShardPartition rule);
+  /// Throws std::invalid_argument when num_vars < 0 or num_shards < 1.
+  VariableShards(VarId num_vars, std::int32_t num_shards);
 
   [[nodiscard]] std::int32_t shard_of(VarId v) const noexcept {
     return shard_of_[static_cast<std::size_t>(v)];
   }
-  [[nodiscard]] std::int32_t shard_count() const noexcept {
-    return shard_count_;
+  [[nodiscard]] std::int32_t num_shards() const noexcept {
+    return num_shards_;
   }
   [[nodiscard]] VarId num_vars() const noexcept {
     return static_cast<VarId>(shard_of_.size());
@@ -134,7 +111,7 @@ class VariableShards {
 
  private:
   std::vector<std::int32_t> shard_of_;
-  std::int32_t shard_count_ = 1;
+  std::int32_t num_shards_ = 1;
 };
 
 /// Shard-aware work-list construction: groups the indices of `works` by

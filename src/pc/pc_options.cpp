@@ -6,10 +6,8 @@
 
 #include "fault/fault_schedule.hpp"
 #include "ipc/transport.hpp"
-#include "pc/edge_work.hpp"
 #include "stats/ci_test_factory.hpp"
 #include "stats/table_builder.hpp"
-#include "topology/placement.hpp"
 
 namespace fastbns {
 
@@ -37,18 +35,6 @@ void PcOptions::validate() const {
     throw std::invalid_argument(
         "PcOptions::num_threads is " + std::to_string(num_threads) +
         ", exceeding kMaxThreads (" + std::to_string(kMaxThreads) +
-        "); this is almost certainly a typo");
-  }
-  if (shard_count < 0) {
-    throw std::invalid_argument(
-        "PcOptions::shard_count must be >= 0 (0 = one shard per worker "
-        "thread), got " +
-        std::to_string(shard_count));
-  }
-  if (shard_count > kMaxShards) {
-    throw std::invalid_argument(
-        "PcOptions::shard_count is " + std::to_string(shard_count) +
-        ", exceeding kMaxShards (" + std::to_string(kMaxShards) +
         "); this is almost certainly a typo");
   }
   if (rank_count < 0) {
@@ -113,11 +99,6 @@ void PcOptions::validate() const {
   // run up front with the offending entry named instead of silently
   // skipping the fault (FaultSchedule::parse throws invalid_argument).
   if (!fault_schedule.empty()) (void)FaultSchedule::parse(fault_schedule);
-  // Resolves the rule name, throwing the known-rules message (with the
-  // offending value) for anything unknown — same contract as engines and
-  // table builders.
-  (void)shard_partition_from_string(shard_partition);
-  (void)numa_policy_from_string(numa_policy);
   const std::vector<std::string> transports = list_transports();
   if (std::find(transports.begin(), transports.end(), ipc_transport) ==
       transports.end()) {

@@ -8,7 +8,7 @@
 namespace fastbns {
 
 /// The builtin skeleton engines: the five of the paper's evaluation plus
-/// the async, sharded and process extensions.
+/// the async and process extensions.
 enum class EngineKind : std::uint8_t {
   /// bnlearn-like baseline: ordered edge directions processed separately,
   /// conditioning sets materialized ahead of time, no endpoint-code reuse.
@@ -30,13 +30,6 @@ enum class EngineKind : std::uint8_t {
   /// depth's work list for already-settled edges instead of spinning —
   /// the depth barrier shrinks to the truly last straggler.
   kAsync,
-  /// Sharded variable-partition extension: variables are partitioned into
-  /// shards (contiguous id ranges or round-robin), each shard's
-  /// thread-group runs the depth's tests for the edges whose lower
-  /// endpoint it owns against shard-local test clones, and the commit
-  /// barrier merges removals per depth — the data-placement-aware
-  /// stepping stone toward NUMA pinning and distributed sharding.
-  kSharded,
   /// Multi-process rank-partition extension: the driver forks rank_count
   /// worker processes over a MAP_SHARED dataset segment, each rank owns
   /// the edges whose lower endpoint maps to its variable shard, and the
@@ -99,23 +92,6 @@ struct PcOptions {
   /// stats/ci_test_factory.hpp the way engines resolve through the
   /// registry.
   std::string ci_test = "auto";
-  /// Variable shards of the sharded engine (kSharded only): 0 = auto (one
-  /// shard per worker thread). Shards may outnumber threads (a thread
-  /// then serves several shards) or variables (trailing shards own no
-  /// variables); both degenerate gracefully.
-  std::int32_t shard_count = 0;
-  /// Variable→shard partition rule of the sharded engine: "contiguous"
-  /// (balanced id ranges — the data-locality default) or "round-robin"
-  /// (v mod shards — balances when adjacency correlates with id order).
-  std::string shard_partition = "contiguous";
-  /// NUMA placement policy (topology/placement.hpp): "auto" pins shard
-  /// thread-groups and first-touches shard column slices only when the
-  /// detected topology (or its FASTBNS_NUMA override) has more than one
-  /// domain; "off" never does; "forced" always does — the tests/CI
-  /// setting that exercises the machinery under simulated topologies.
-  /// Consumed by the sharded and process engines (pinning + placement);
-  /// placement never changes results, only where threads and pages live.
-  std::string numa_policy = "auto";
   /// Worker ranks (forked processes) of the multi-process engine
   /// (kProcess only): 0 = auto (min(2, hardware threads) — distributed by
   /// default, degenerating to a single rank on a 1-cpu box). Ranks may
@@ -167,10 +143,8 @@ struct PcOptions {
   /// Largest accepted num_threads; far beyond any machine this targets,
   /// so a mistyped thread count fails here instead of oversubscribing.
   static constexpr int kMaxThreads = 4096;
-  /// Largest accepted shard_count, for the same reason.
-  static constexpr std::int32_t kMaxShards = 4096;
   /// Largest accepted rank_count: every rank is a forked process, so the
-  /// cap is deliberately far below kMaxShards — 1024 ranks is already
+  /// cap is deliberately far below kMaxThreads — 1024 ranks is already
   /// beyond any single box this engine forks on.
   static constexpr std::int32_t kMaxRanks = 1024;
   /// Largest accepted max_rank_restarts: each restart forks, replays
@@ -186,10 +160,8 @@ struct PcOptions {
 
   /// Throws std::invalid_argument when any field is out of range:
   /// group_size >= 1, alpha in (0, 1), max_depth >= -1, 0 <= num_threads
-  /// <= kMaxThreads, 0 <= shard_count <= kMaxShards, 0 <= rank_count <=
-  /// kMaxRanks, rank_threads likewise against kMaxThreads, shard_partition
-  /// a known rule, numa_policy a known policy (auto/off/forced),
-  /// ipc_transport a known transport (auto/pipe/socket),
+  /// <= kMaxThreads, 0 <= rank_count <= kMaxRanks, rank_threads likewise
+  /// against kMaxThreads, ipc_transport a known transport (auto/pipe/socket),
   /// table_builder a known kernel name, ci_test a known statistic name
   /// (auto/discrete/gaussian/oracle), and max_table_cells
   /// >= 4 (a smaller cap cannot hold even the 2x2 marginal table of two

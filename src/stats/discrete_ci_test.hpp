@@ -90,7 +90,7 @@ class DiscreteCiTest final : public CiTest {
   [[nodiscard]] Count workload_samples() const noexcept override;
   [[nodiscard]] std::int64_t workload_states(VarId v) const noexcept override;
   /// The buffer a test of `v` actually streams (the dataset's packed
-  /// codes8 column or value column) — the NUMA first-touch surface.
+  /// codes8 column or value column).
   [[nodiscard]] std::span<const std::byte> workload_column_bytes(
       VarId v) const noexcept override {
     return data_->column_bytes(v);

@@ -55,8 +55,7 @@ class GaussianCiTest final : public CiTest {
   /// uniform.
   [[nodiscard]] Count workload_samples() const noexcept override;
   [[nodiscard]] std::int64_t workload_states(VarId v) const noexcept override;
-  /// The doubles column — the NUMA first-touch surface for the one-time
-  /// covariance pass (and any rebuild after the segment moves domains).
+  /// The doubles column the one-time covariance pass streams.
   [[nodiscard]] std::span<const std::byte> workload_column_bytes(
       VarId v) const noexcept override;
 

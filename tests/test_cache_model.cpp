@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "cachesim/access_replay.hpp"
@@ -128,7 +127,7 @@ TEST(ReplayTrace, EmptyTraceProducesNoAccesses) {
 
 TEST(MemoryHierarchy, AccessReportsDramFallthrough) {
   // access() returns whether *any* level served the line; false is a
-  // DRAM fallthrough — the signal the NUMA replay charges local/remote.
+  // DRAM fallthrough.
   MemoryHierarchy hierarchy({256, 64, 2}, {4096, 64, 4});
   EXPECT_FALSE(hierarchy.access(0));  // cold: misses both levels
   EXPECT_TRUE(hierarchy.access(0));   // L1 hit
@@ -137,108 +136,6 @@ TEST(MemoryHierarchy, AccessReportsDramFallthrough) {
   hierarchy.access(256);
   hierarchy.access(512);
   EXPECT_TRUE(hierarchy.access(0));
-}
-
-/// Minimal two-domain replay scaffold: 4 variables homed 2+2, one traced
-/// call per edge, long enough scans that DRAM traffic is non-trivial.
-NumaReplayConfig two_domain_config(std::size_t trace_size) {
-  NumaReplayConfig config;
-  config.base.num_samples = 8192;
-  config.base.num_vars = 4;
-  config.base.value_bytes = 1;
-  config.base.column_major = true;
-  config.base.l1 = {1024, 64, 2};
-  config.base.last_level = {4 * 1024, 64, 4};
-  config.num_domains = 2;
-  config.var_domain = {0, 0, 1, 1};
-  config.exec_domain.assign(trace_size, 0);
-  return config;
-}
-
-TEST(NumaReplay, ValidationThrowsOnEveryMalformedInput) {
-  const std::vector<TracedCiCall> trace{{0, 1, {}}};
-  NumaReplayConfig config = two_domain_config(trace.size());
-  config.num_domains = 0;
-  EXPECT_THROW((void)replay_trace_numa(trace, config), std::invalid_argument);
-  config = two_domain_config(trace.size());
-  config.var_domain = {0, 0, 1};  // != num_vars
-  EXPECT_THROW((void)replay_trace_numa(trace, config), std::invalid_argument);
-  config = two_domain_config(trace.size());
-  config.exec_domain = {0, 1};  // != trace size
-  EXPECT_THROW((void)replay_trace_numa(trace, config), std::invalid_argument);
-  config = two_domain_config(trace.size());
-  config.var_domain[1] = 2;  // out of [0, num_domains)
-  EXPECT_THROW((void)replay_trace_numa(trace, config), std::invalid_argument);
-  config = two_domain_config(trace.size());
-  config.exec_domain[0] = -1;
-  EXPECT_THROW((void)replay_trace_numa(trace, config), std::invalid_argument);
-}
-
-TEST(NumaReplay, ChargesDramByTheVariablesHomeDomain) {
-  // One call streaming only domain-0 columns, executed on domain 0: every
-  // DRAM fallthrough is local. The same call executed on domain 1: every
-  // fallthrough is remote — and the totals mirror exactly.
-  const std::vector<TracedCiCall> trace{{0, 1, {}}};
-  NumaReplayConfig config = two_domain_config(trace.size());
-  config.exec_domain = {0};
-  const NumaReplayResult local = replay_trace_numa(trace, config);
-  EXPECT_GT(local.local_dram_accesses, 0);
-  EXPECT_EQ(local.remote_dram_accesses, 0);
-  EXPECT_DOUBLE_EQ(local.remote_fraction(), 0.0);
-  config.exec_domain = {1};
-  const NumaReplayResult remote = replay_trace_numa(trace, config);
-  EXPECT_EQ(remote.remote_dram_accesses, local.local_dram_accesses);
-  EXPECT_EQ(remote.local_dram_accesses, 0);
-  EXPECT_DOUBLE_EQ(remote.remote_fraction(), 1.0);
-}
-
-TEST(NumaReplay, PlacementAlignedExecutionBeatsScattered) {
-  // The bench's claim in miniature: a trace whose calls run on the home
-  // domain of their lower endpoint (the sharded engine's owner rule)
-  // must show strictly fewer remote DRAM accesses than the same trace
-  // with calls dealt round-robin over master-thread-faulted pages.
-  std::vector<TracedCiCall> trace;
-  for (int repeat = 0; repeat < 4; ++repeat) {
-    trace.push_back({0, 1, {1}});
-    trace.push_back({2, 3, {3}});
-    trace.push_back({0, 1, {0}});
-    trace.push_back({2, 3, {2}});
-  }
-  NumaReplayConfig placed = two_domain_config(trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    placed.exec_domain[i] =
-        placed.var_domain[static_cast<std::size_t>(
-            std::min(trace[i].x, trace[i].y))];
-  }
-  NumaReplayConfig unplaced = two_domain_config(trace.size());
-  unplaced.var_domain.assign(4, 0);  // all pages faulted by the master
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    unplaced.exec_domain[i] = static_cast<std::int32_t>(i % 2);
-  }
-  const NumaReplayResult on = replay_trace_numa(trace, placed);
-  const NumaReplayResult off = replay_trace_numa(trace, unplaced);
-  EXPECT_LT(on.remote_dram_accesses, off.remote_dram_accesses);
-  EXPECT_LT(on.remote_fraction(), off.remote_fraction());
-  // Both replays stream the same logical work.
-  EXPECT_EQ(on.l1.accesses, off.l1.accesses);
-}
-
-TEST(NumaReplay, SingleDomainDegeneratesToTheUniformReplay) {
-  // One domain, everything local: the summed cache stats must equal the
-  // plain replay's bit-for-bit, and nothing may count as remote.
-  std::vector<TracedCiCall> trace{{0, 1, {2}}, {1, 3, {0, 2}}};
-  NumaReplayConfig config = two_domain_config(trace.size());
-  config.num_domains = 1;
-  config.var_domain.assign(4, 0);
-  config.exec_domain.assign(trace.size(), 0);
-  const NumaReplayResult numa = replay_trace_numa(trace, config);
-  const ReplayResult plain = replay_trace(trace, config.base);
-  EXPECT_EQ(numa.remote_dram_accesses, 0);
-  EXPECT_EQ(numa.l1.accesses, plain.l1.accesses);
-  EXPECT_EQ(numa.l1.misses, plain.l1.misses);
-  EXPECT_EQ(numa.last_level.accesses, plain.last_level.accesses);
-  EXPECT_EQ(numa.last_level.misses, plain.last_level.misses);
-  EXPECT_EQ(numa.local_dram_accesses, plain.last_level.misses);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 namespace fastbns {
 namespace {
@@ -165,6 +166,60 @@ TEST_F(DatasetIoTest, AutoLoaderNamesTheOffendingCell) {
     EXPECT_NE(message.find("oops"), std::string::npos) << message;
     EXPECT_NE(message.find("row 2"), std::string::npos) << message;
     EXPECT_NE(message.find("column b"), std::string::npos) << message;
+  }
+}
+
+TEST_F(DatasetIoTest, IntegerLoaderRejectsNonIntegerCellsByName) {
+  // A fractional cell must not truncate ("3.9" is not 3) and a word must
+  // not escape as a bare std::invalid_argument from the integer parse:
+  // both are runtime_errors naming the cell, row, column and file.
+  struct Case {
+    const char* file;
+    const char* body;
+    const char* cell;
+    const char* row;
+    const char* column;
+  };
+  for (const Case& c : {Case{"fraction.csv", "a,b\n1,3.9\n", "\"3.9\"",
+                             "row 1", "column b"},
+                        Case{"word.csv", "a,b\n0,1\nx,1\n", "\"x\"",
+                             "row 2", "column a"},
+                        Case{"big.csv", "a,b\n300,1\n", "\"300\"", "row 1",
+                             "column a"}}) {
+    std::ofstream out(path(c.file));
+    out << c.body;
+    out.close();
+    try {
+      (void)load_csv(path(c.file));
+      FAIL() << "expected std::runtime_error for " << c.file;
+    } catch (const std::runtime_error& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(c.cell), std::string::npos) << message;
+      EXPECT_NE(message.find(c.row), std::string::npos) << message;
+      EXPECT_NE(message.find(c.column), std::string::npos) << message;
+      EXPECT_NE(message.find(path(c.file)), std::string::npos) << message;
+    }
+  }
+}
+
+TEST_F(DatasetIoTest, AutoLoaderRejectsNonFiniteCells) {
+  // "nan" and "inf" parse as doubles but would feed NaN into the Fisher-z
+  // covariance; they fail like any other non-numeric cell.
+  for (const char* cell : {"nan", "inf", "-inf", "NaN", "infinity"}) {
+    std::ofstream out(path("non_finite.csv"));
+    out << "a,b\n0.5,1.25\n" << cell << ",2.5\n";
+    out.close();
+    try {
+      (void)load_csv_auto(path("non_finite.csv"));
+      FAIL() << "expected std::runtime_error for " << cell;
+    } catch (const std::runtime_error& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(std::string("\"") + cell + "\""),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("row 2"), std::string::npos) << message;
+      EXPECT_NE(message.find("column a"), std::string::npos) << message;
+    }
   }
 }
 

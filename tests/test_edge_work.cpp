@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
 #include "graph/dag.hpp"
 #include "stats/oracle_test.hpp"
@@ -177,8 +176,8 @@ TEST(MaterializeConditioningSets, LimitGuard) {
 TEST(VariableShards, ContiguousPartitionIsBalancedAndExhaustive) {
   // 10 variables over 3 shards: balanced ranges 4/3/3, every variable
   // owned by exactly one shard, ids ascending within a shard.
-  const VariableShards shards(10, 3, ShardPartition::kContiguous);
-  EXPECT_EQ(shards.shard_count(), 3);
+  const VariableShards shards(10, 3);
+  EXPECT_EQ(shards.num_shards(), 3);
   EXPECT_EQ(shards.num_vars(), 10);
   std::vector<int> sizes(3, 0);
   std::int32_t previous = 0;
@@ -193,46 +192,19 @@ TEST(VariableShards, ContiguousPartitionIsBalancedAndExhaustive) {
   EXPECT_EQ(sizes, (std::vector<int>{4, 3, 3}));
 }
 
-TEST(VariableShards, RoundRobinPartitionCyclesIds) {
-  const VariableShards shards(7, 3, ShardPartition::kRoundRobin);
-  for (VarId v = 0; v < 7; ++v) {
-    EXPECT_EQ(shards.shard_of(v), v % 3) << v;
-  }
-}
-
 TEST(VariableShards, MoreShardsThanVariablesLeavesTrailingShardsEmpty) {
-  for (const ShardPartition rule :
-       {ShardPartition::kContiguous, ShardPartition::kRoundRobin}) {
-    const VariableShards shards(3, 8, rule);
-    std::vector<int> sizes(8, 0);
-    for (VarId v = 0; v < 3; ++v) {
-      ++sizes[static_cast<std::size_t>(shards.shard_of(v))];
-    }
-    EXPECT_EQ(sizes[0] + sizes[1] + sizes[2], 3);
-    for (std::size_t s = 3; s < 8; ++s) EXPECT_EQ(sizes[s], 0) << s;
+  const VariableShards shards(3, 8);
+  std::vector<int> sizes(8, 0);
+  for (VarId v = 0; v < 3; ++v) {
+    ++sizes[static_cast<std::size_t>(shards.shard_of(v))];
   }
+  EXPECT_EQ(sizes[0] + sizes[1] + sizes[2], 3);
+  for (std::size_t s = 3; s < 8; ++s) EXPECT_EQ(sizes[s], 0) << s;
 }
 
 TEST(VariableShards, RejectsNonPositiveShardCounts) {
-  EXPECT_THROW(VariableShards(5, 0, ShardPartition::kContiguous),
-               std::invalid_argument);
-  EXPECT_THROW(VariableShards(5, -2, ShardPartition::kRoundRobin),
-               std::invalid_argument);
-}
-
-TEST(ShardPartitionNames, RoundTripAndUnknownNamesFailWithTheValue) {
-  for (const std::string& name : list_shard_partitions()) {
-    EXPECT_EQ(std::string(to_string(shard_partition_from_string(name))), name);
-  }
-  try {
-    (void)shard_partition_from_string("diagonal");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& error) {
-    const std::string message = error.what();
-    EXPECT_NE(message.find("diagonal"), std::string::npos);
-    EXPECT_NE(message.find("contiguous"), std::string::npos);
-    EXPECT_NE(message.find("round-robin"), std::string::npos);
-  }
+  EXPECT_THROW(VariableShards(5, 0), std::invalid_argument);
+  EXPECT_THROW(VariableShards(5, -2), std::invalid_argument);
 }
 
 TEST(ShardWorkIndices, GroupsByLowerEndpointAscendingAndKeepsTestlessWorks) {
@@ -241,7 +213,7 @@ TEST(ShardWorkIndices, GroupsByLowerEndpointAscendingAndKeepsTestlessWorks) {
   // the shard of its lower endpoint regardless of test counts.
   const auto works = build_depth_works(small_graph(), 1, true);
   ASSERT_EQ(works.size(), 5u);
-  const VariableShards shards(5, 2, ShardPartition::kContiguous);  // 0-2 | 3-4
+  const VariableShards shards(5, 2);  // 0-2 | 3-4
   const auto by_shard = shard_work_indices(works, shards);
   ASSERT_EQ(by_shard.size(), 2u);
   std::size_t total = 0;

@@ -12,9 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -236,45 +234,6 @@ TEST(ClonePoolEngine, PrepareRunResetsTheCloneCache) {
   slot.emplace(data, second_options);
   engine.prepare_run();
   EXPECT_EQ(clone_alpha(engine.acquire_one(*slot)), 0.2);
-}
-
-TEST(ShardTeamSizes, DealsThreadsRoundRobinWithGroupsDifferingByAtMostOne) {
-  // 10 threads over 3 shards: 4/3/3 (the first T % S shards get the
-  // extra thread); every thread serves exactly one shard.
-  EXPECT_EQ(shard_team_sizes(3, 10), (std::vector<int>{4, 3, 3}));
-  EXPECT_EQ(shard_team_sizes(4, 8), (std::vector<int>{2, 2, 2, 2}));
-  EXPECT_EQ(shard_team_sizes(1, 5), (std::vector<int>{5}));
-}
-
-TEST(ShardTeamSizes, FewerThreadsThanShardsGivesEveryShardAGroupOfOne) {
-  // A shard never spans thread-groups: with T < S the shards time-share
-  // threads, each still served by a single-rank group.
-  EXPECT_EQ(shard_team_sizes(5, 2), (std::vector<int>{1, 1, 1, 1, 1}));
-  EXPECT_EQ(shard_team_sizes(3, 3), (std::vector<int>{1, 1, 1}));
-}
-
-TEST(ShardTeamSizes, RejectsNonPositiveArgumentsNamingTheValue) {
-  for (const auto& [shards, threads] :
-       {std::pair<std::int32_t, int>{0, 4}, {4, 0}, {-1, 4}, {4, -3}}) {
-    try {
-      (void)shard_team_sizes(shards, threads);
-      FAIL() << "expected std::invalid_argument for shards=" << shards
-             << " threads=" << threads;
-    } catch (const std::invalid_argument& error) {
-      const std::string message = error.what();
-      EXPECT_NE(message.find(std::to_string(shards < 1 ? shards : threads)),
-                std::string::npos)
-          << message;
-    }
-  }
-}
-
-TEST(ResolveShardCount, AutoMeansOneShardPerWorkerThread) {
-  EXPECT_EQ(resolve_shard_count(0, 6), 6);
-  EXPECT_EQ(resolve_shard_count(0, 1), 1);
-  EXPECT_EQ(resolve_shard_count(0, 0), 1);  // degenerate runtime reports
-  EXPECT_EQ(resolve_shard_count(3, 8), 3);  // explicit counts win verbatim
-  EXPECT_EQ(resolve_shard_count(12, 2), 12);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -137,119 +136,6 @@ INSTANTIATE_TEST_SUITE_P(
       return name + "_t" + std::to_string(std::get<1>(param_info.param)) + "_gs" +
              std::to_string(std::get<2>(param_info.param));
     });
-
-TEST(EngineEquivalence, ShardedIdenticalAcrossShardCountsAndPartitions) {
-  // The sharded engine's own grid dimension: the variable partition. The
-  // registry-driven grid above runs it at the auto shard count (one per
-  // thread); this sweep pins shard counts below, equal to and above the
-  // thread count, under both partition rules — every cell must still be
-  // byte-identical. threads = 0 keeps the OpenMP runtime default so the
-  // CI workflow's OMP_NUM_THREADS=1/2/nproc sweep varies the group
-  // shapes these shard counts actually map onto.
-  static const SkeletonResult reference = reference_result();
-  const VarId n = fixture().data.num_vars();
-  for (const std::int32_t shards : {1, 2, 7}) {
-    for (const char* partition : {"contiguous", "round-robin"}) {
-      for (const int threads : {1, 2, 0}) {
-        PcOptions options;
-        options.engine = EngineKind::kSharded;
-        options.engine_name = "sharded(var-partition)";
-        options.num_threads = threads;
-        options.shard_count = shards;
-        options.shard_partition = partition;
-        const DiscreteCiTest test(fixture().data, {});
-        const SkeletonResult result =
-            learn_skeleton(n, test, options);
-        EXPECT_TRUE(result.graph == reference.graph)
-            << "shards=" << shards << " partition=" << partition
-            << " t=" << threads;
-        for (VarId u = 0; u < n; ++u) {
-          for (VarId v = u + 1; v < n; ++v) {
-            const auto* expected = reference.sepsets.find(u, v);
-            const auto* actual = result.sepsets.find(u, v);
-            ASSERT_EQ(expected == nullptr, actual == nullptr)
-                << "shards=" << shards << " partition=" << partition
-                << " t=" << threads << ": " << u << "," << v;
-            if (expected != nullptr) {
-              EXPECT_EQ(*expected, *actual)
-                  << "shards=" << shards << " partition=" << partition
-                  << " t=" << threads << ": " << u << "," << v;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(EngineEquivalence, NumaForcedPlacementIsResultIdentical) {
-  // Forced NUMA placement turns on the full machinery even on the
-  // single-socket CI box: the shard->domain deal, per-task thread pins
-  // (real sched_setaffinity under the "2" affinity-split form, no-ops
-  // under the synthetic "2x2" form — both swept here), and the one-time
-  // first-touch prefault of each shard's column slices. None of it may
-  // change a bit of the sharded engine's result.
-  static const SkeletonResult reference = reference_result();
-  const VarId n = fixture().data.num_vars();
-  for (const char* topology : {"2", "2x2"}) {
-    setenv("FASTBNS_NUMA", topology, 1);
-    for (const char* policy : {"auto", "off", "forced"}) {
-      for (const std::int32_t shards : {2, 5}) {
-        for (const char* partition : {"contiguous", "round-robin"}) {
-          PcOptions options;
-          options.engine = EngineKind::kSharded;
-          options.num_threads = 2;
-          options.shard_count = shards;
-          options.shard_partition = partition;
-          options.numa_policy = policy;
-          const DiscreteCiTest test(fixture().data, {});
-          const SkeletonResult result = learn_skeleton(n, test, options);
-          const std::string label = std::string("FASTBNS_NUMA=") +
-                                    topology + " numa=" + policy +
-                                    " shards=" + std::to_string(shards) +
-                                    "/" + partition;
-          EXPECT_TRUE(result.graph == reference.graph) << label;
-          for (VarId u = 0; u < n; ++u) {
-            for (VarId v = u + 1; v < n; ++v) {
-              const auto* expected = reference.sepsets.find(u, v);
-              const auto* actual = result.sepsets.find(u, v);
-              ASSERT_EQ(expected == nullptr, actual == nullptr)
-                  << label << ": " << u << "," << v;
-              if (expected != nullptr) {
-                EXPECT_EQ(*expected, *actual)
-                    << label << ": " << u << "," << v;
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  unsetenv("FASTBNS_NUMA");
-}
-
-TEST(EngineEquivalence, ShardedTestCountMatchesEdgeParallelAtAnyShardCount) {
-  // Per-work semantics are exactly edge-parallel's (canonical order,
-  // first-accept early stop), so the executed CI-test count must be
-  // independent of the partition — not just the skeleton.
-  std::int64_t reference_count = -1;
-  for (const std::int32_t shards : {0, 1, 3, 7}) {
-    PcOptions options;
-    options.engine = shards == 0 ? EngineKind::kEdgeParallel
-                                 : EngineKind::kSharded;
-    options.num_threads = 2;
-    options.shard_count = shards;
-    const DiscreteCiTest test(fixture().data, {});
-    const SkeletonResult result =
-        learn_skeleton(fixture().data.num_vars(), test, options);
-    if (reference_count < 0) {
-      reference_count = result.total_ci_tests;
-    } else {
-      EXPECT_EQ(result.total_ci_tests, reference_count)
-          << "shards=" << shards;
-    }
-  }
-}
 
 TEST(EngineEquivalence, CpdagIdenticalAcrossRegisteredEnginesOnSampledData) {
   // End-to-end: every registered engine yields the byte-identical CPDAG

@@ -1,6 +1,6 @@
 // The cross-engine differential fuzz harness.
 //
-// "Result-identical" is the library's central claim, and with eight
+// "Result-identical" is the library's central claim, and with seven
 // registered engines times four counting kernels, hand-picked networks no
 // longer cover the combination space. This harness machine-checks the
 // claim at scale: a seeded loop of random DAG (random_network) →
@@ -9,8 +9,8 @@
 // adjacency, separating sets and removal depths against the optimized
 // sequential reference. On a mismatch the failure message is a complete
 // reproducer: the seed, the engine pair (reference vs subject), the
-// builder and per-seed knobs (gs, shard count/partition), and the first
-// divergent edge.
+// builder and per-seed knobs (gs, rank count/threads/transport), and the
+// first divergent edge.
 //
 // Seed sweep: FASTBNS_FUZZ_SEEDS overrides the default of 10 seeds (the
 // `fuzz` ctest label's CI leg pins 10 at OMP_NUM_THREADS=nproc; raise it
@@ -78,16 +78,8 @@ TEST(EngineFuzz, EveryEngineEveryBuilderMatchesTheSequentialReference) {
         learn_skeleton(n, reference_test, reference_options), n);
 
     // Per-seed knobs, so the sweep varies scheduling shape as well as
-    // data: pool group sizes cycle 1..8, shard counts cycle 1..4 with
-    // alternating partition rules.
+    // data: pool group sizes cycle 1..8.
     const auto gs = static_cast<std::int32_t>(1 + seed % 8);
-    const auto shard_count = static_cast<std::int32_t>(1 + seed % 4);
-    const char* shard_partition =
-        seed % 2 == 0 ? "contiguous" : "round-robin";
-    // NUMA placement swaps thread pinning and first-touch in and out
-    // (and, under FASTBNS_NUMA, the shard->domain deal) — none of which
-    // may perturb a single bit of the result.
-    const char* numa_policy = seed % 2 == 0 ? "auto" : "forced";
     // The process engine forks this many worker ranks per configuration;
     // cycling 1/2/4 (with a 1-or-2 thread team inside each) exercises
     // the degenerate single-rank group, an even split, and more ranks
@@ -107,9 +99,6 @@ TEST(EngineFuzz, EveryEngineEveryBuilderMatchesTheSequentialReference) {
         options.engine_name = engine;
         options.num_threads = 0;  // OMP_NUM_THREADS drives concurrency
         options.group_size = gs;
-        options.shard_count = shard_count;
-        options.shard_partition = shard_partition;
-        options.numa_policy = numa_policy;
         options.rank_count = ranks;
         options.rank_threads = rank_threads;
         options.ipc_transport = ipc_transport;
@@ -125,10 +114,8 @@ TEST(EngineFuzz, EveryEngineEveryBuilderMatchesTheSequentialReference) {
         ADD_FAILURE() << "seed=" << seed
                       << " engine pair fastbns-seq(scalar) vs " << engine
                       << "(" << builder << ")"
-                      << " gs=" << gs << " shards=" << shard_count << "/"
-                      << shard_partition << " numa=" << numa_policy
-                      << " ranks=" << ranks << "x" << rank_threads << " ipc="
-                      << ipc_transport << ": "
+                      << " gs=" << gs << " ranks=" << ranks << "x"
+                      << rank_threads << " ipc=" << ipc_transport << ": "
                       << fuzz::describe_divergence(reference, actual, n);
       }
     }

@@ -16,13 +16,13 @@ namespace {
 
 TEST(EngineRegistry, ListsTheBuiltinEnginesSorted) {
   const std::vector<std::string> names = list_engines();
-  ASSERT_GE(names.size(), 8u);
+  ASSERT_EQ(names.size(), 7u);
   // list_engines() is the stable, sorted order CLI help enumerates.
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   for (const char* expected :
        {"naive-seq", "fastbns-seq", "edge-parallel", "sample-parallel",
         "fastbns-par(ci-level)", "async(depth-overlap)",
-        "sharded(var-partition)", "process(rank-partition)"}) {
+        "process(rank-partition)"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }
@@ -32,12 +32,11 @@ TEST(EngineRegistry, ListsTheBuiltinEnginesSorted) {
   // sorts.
   const std::vector<std::string> registration_order =
       EngineRegistry{}.names();
-  ASSERT_EQ(registration_order.size(), 8u);
+  ASSERT_EQ(registration_order.size(), 7u);
   EXPECT_EQ(registration_order[0], "naive-seq");
   EXPECT_EQ(registration_order[4], "fastbns-par(ci-level)");
   EXPECT_EQ(registration_order[5], "async(depth-overlap)");
-  EXPECT_EQ(registration_order[6], "sharded(var-partition)");
-  EXPECT_EQ(registration_order[7], "process(rank-partition)");
+  EXPECT_EQ(registration_order[6], "process(rank-partition)");
 }
 
 TEST(EngineRegistry, CanonicalNamesRoundTrip) {
@@ -50,8 +49,7 @@ TEST(EngineRegistry, KindsRoundTripThroughNames) {
   for (const EngineKind kind :
        {EngineKind::kNaiveSequential, EngineKind::kFastSequential,
         EngineKind::kEdgeParallel, EngineKind::kSampleParallel,
-        EngineKind::kCiParallel, EngineKind::kAsync, EngineKind::kSharded,
-        EngineKind::kProcess}) {
+        EngineKind::kCiParallel, EngineKind::kAsync, EngineKind::kProcess}) {
     EXPECT_EQ(engine_from_string(to_string(kind)), kind);
   }
 }
@@ -65,16 +63,15 @@ TEST(EngineRegistry, AliasesResolve) {
   EXPECT_EQ(engine_from_string("fastbns-par"), EngineKind::kCiParallel);
   EXPECT_EQ(engine_from_string("async"), EngineKind::kAsync);
   EXPECT_EQ(engine_from_string("overlap"), EngineKind::kAsync);
-  EXPECT_EQ(engine_from_string("sharded"), EngineKind::kSharded);
-  EXPECT_EQ(engine_from_string("shard"), EngineKind::kSharded);
   EXPECT_EQ(engine_from_string("process"), EngineKind::kProcess);
   EXPECT_EQ(engine_from_string("mpp"), EngineKind::kProcess);
 }
 
 TEST(EngineRegistry, UnknownNameThrowsListingKnownEngines) {
-  // "hybrid" and "auto" are not engine names either; they fail like any
-  // other unknown name.
-  for (const char* name : {"warp-drive", "hybrid", "auto"}) {
+  // "hybrid", "sharded" and "shard" name deleted engines, and "auto" is
+  // not an engine name either; they fail like any other unknown name.
+  for (const char* name : {"warp-drive", "hybrid", "sharded", "shard",
+                           "sharded(var-partition)", "auto"}) {
     try {
       (void)engine_from_string(name);
       FAIL() << "expected std::invalid_argument for " << name;

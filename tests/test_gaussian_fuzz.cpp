@@ -83,10 +83,6 @@ TEST(GaussianFuzz, EveryEngineEveryCovarianceBuilderMatchesTheReference) {
 
     // Same per-seed scheduling knobs as the discrete harness.
     const auto gs = static_cast<std::int32_t>(1 + seed % 8);
-    const auto shard_count = static_cast<std::int32_t>(1 + seed % 4);
-    const char* shard_partition =
-        seed % 2 == 0 ? "contiguous" : "round-robin";
-    const char* numa_policy = seed % 2 == 0 ? "auto" : "forced";
     const std::int32_t rank_count[] = {1, 2, 4};
     const auto ranks = rank_count[seed % 3];
     const auto rank_threads = static_cast<std::int32_t>(1 + seed % 2);
@@ -101,9 +97,6 @@ TEST(GaussianFuzz, EveryEngineEveryCovarianceBuilderMatchesTheReference) {
         options.engine_name = engine;
         options.num_threads = 0;  // OMP_NUM_THREADS drives concurrency
         options.group_size = gs;
-        options.shard_count = shard_count;
-        options.shard_partition = shard_partition;
-        options.numa_policy = numa_policy;
         options.rank_count = ranks;
         options.rank_threads = rank_threads;
         options.ipc_transport = ipc_transport;
@@ -117,10 +110,8 @@ TEST(GaussianFuzz, EveryEngineEveryCovarianceBuilderMatchesTheReference) {
         ADD_FAILURE() << "seed=" << seed
                       << " engine pair fastbns-seq(scalar) vs " << engine
                       << "(" << builder << ")"
-                      << " gs=" << gs << " shards=" << shard_count << "/"
-                      << shard_partition << " numa=" << numa_policy
-                      << " ranks=" << ranks << "x" << rank_threads << " ipc="
-                      << ipc_transport << ": "
+                      << " gs=" << gs << " ranks=" << ranks << "x"
+                      << rank_threads << " ipc=" << ipc_transport << ": "
                       << fuzz::describe_divergence(reference, actual, n);
       }
     }

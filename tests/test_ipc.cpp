@@ -716,8 +716,8 @@ TEST(SharedDataset, SegmentViewMatchesTheSourceValueForValue) {
     for (std::size_t i = 0; i < expected.size(); ++i) {
       ASSERT_EQ(actual[i], expected[i]) << v << "@" << i;
     }
-    // The first-touch surface the placement pass prefaults must exist
-    // for every variable in the view too.
+    // Every variable's column bytes must be reachable through the view
+    // too.
     EXPECT_FALSE(view.column_bytes(v).empty()) << v;
   }
   // Copies of the view share the shm buffers rather than deep-copying —

@@ -376,7 +376,7 @@ TEST(ProcessEngine, RestartBudgetExhaustionRepartitionsOntoSurvivors) {
       << describe_events(run.events);
 }
 
-TEST(ProcessEngine, InitialSpawnFailureDegradesToTheShardedEngine) {
+TEST(ProcessEngine, InitialSpawnFailureDegradesToTheInProcessEngine) {
   // spawn-fail with gen=0 declares the whole first fork failed: the run
   // must complete in-process (the degrade rung) with identical results.
   const fuzz::FuzzInstance instance = fuzz::make_instance(7);
@@ -396,7 +396,7 @@ TEST(ProcessEngine, InitialSpawnFailureDegradesToTheShardedEngine) {
 TEST(ProcessEngine, RespawnFailureMidRunDegradesAndStillFinishes) {
   // The rank dies, and its respawn is declared failed: the supervisor
   // finishes the depth locally and hands the rest of the run to the
-  // in-process sharded engine — completion, not an abort.
+  // in-process edge-parallel engine — completion, not an abort.
   const fuzz::FuzzInstance instance = fuzz::make_instance(2);
   std::int64_t reference_tests = 0;
   const fuzz::SkeletonFingerprint reference =

@@ -6,9 +6,12 @@
 #include "bench_util/reporting.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
-#include <cstdlib>
+#include <optional>
 #include <string>
+
+#include "stats/simd_dispatch.hpp"
 
 namespace fastbns {
 namespace {
@@ -82,16 +85,15 @@ TEST(BenchJson, MalformedStringsAnywhereStayValidJson) {
 
 TEST(BenchJson, MachineContextBlockIsEmbeddedInEveryBenchJson) {
   // Satellite contract: every BENCH_*.json carries the machine context a
-  // perf number is meaningless without — node count, per-node cpus,
-  // whether those cpus are pinnable, and the declared pinning policy.
+  // perf number is meaningless without — the cpus it ran on and the
+  // SIMD tier the kernel used.
   TablePrinter table({"col"});
   table.add_row({"1"});
   const std::string json = bench_json("t", "s", table);
   EXPECT_NE(json.find("\"context\": {"), std::string::npos);
   for (const char* key :
-       {"\"numa_nodes\":", "\"cpus_per_node\":", "\"physical_cpus\":",
-        "\"omp_max_threads\":", "\"omp_binding_env\":",
-        "\"pinning_policy\":", "\"rank_count\":", "\"ipc_transport\":"}) {
+       {"\"cpus\":", "\"omp_max_threads\":", "\"omp_binding_env\":",
+        "\"simd_tier\":", "\"rank_count\":", "\"ipc_transport\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
 }
@@ -113,23 +115,27 @@ TEST(BenchJson, ContextReflectsTheDeclaredRankSweep) {
       << context;
 }
 
-TEST(BenchJson, ContextReflectsTheSimulatedTopologyAndPinningPolicy) {
-  // FASTBNS_NUMA drives the context block through the same detection the
-  // engines use, so a simulated-topology bench run is honest about it:
-  // 2 synthetic nodes of 3 cpus, not pinnable.
-  setenv("FASTBNS_NUMA", "2x3", 1);
-  set_bench_pinning_policy("forced-vs-off");
-  const std::string context = bench_context_json();
-  unsetenv("FASTBNS_NUMA");
-  set_bench_pinning_policy("unset");
-  EXPECT_NE(context.find("\"numa_nodes\": 2"), std::string::npos) << context;
-  EXPECT_NE(context.find("\"cpus_per_node\": [3, 3]"), std::string::npos)
-      << context;
-  EXPECT_NE(context.find("\"physical_cpus\": false"), std::string::npos)
-      << context;
-  EXPECT_NE(context.find("\"pinning_policy\": \"forced-vs-off\""),
+TEST(BenchJson, ContextRecordsTheAffinityCpusAndTheActiveSimdTier) {
+  // "cpus" is this process's sched_getaffinity count, so a JSON recorded
+  // under a restricted mask says so; "simd_tier" follows the dispatcher,
+  // including a clamp set after startup.
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  const std::string expected_cpus =
+      "{\"cpus\": " + std::to_string(CPU_COUNT(&mask)) + ",";
+  EXPECT_EQ(bench_context_json().rfind(expected_cpus, 0), 0u)
+      << bench_context_json();
+  EXPECT_NE(bench_context_json().find(
+                "\"simd_tier\": \"" +
+                std::string(to_string(active_simd_tier())) + "\""),
             std::string::npos)
-      << context;
+      << bench_context_json();
+  set_simd_tier_override(SimdTier::kScalar);
+  const std::string scalar = bench_context_json();
+  set_simd_tier_override(std::nullopt);
+  EXPECT_NE(scalar.find("\"simd_tier\": \"scalar\""), std::string::npos)
+      << scalar;
 }
 
 }  // namespace

@@ -137,15 +137,6 @@ TEST(Skeleton, ValidateMessagesNameTheOffendingValue) {
   options.num_threads = PcOptions::kMaxThreads + 1;
   expect_mentions(options, std::to_string(PcOptions::kMaxThreads + 1));
   options = {};
-  options.shard_count = -4;
-  expect_mentions(options, "-4");
-  options = {};
-  options.shard_count = PcOptions::kMaxShards + 2;
-  expect_mentions(options, std::to_string(PcOptions::kMaxShards + 2));
-  options = {};
-  options.shard_partition = "diagonal";
-  expect_mentions(options, "diagonal");
-  options = {};
   options.rank_count = -5;
   expect_mentions(options, "-5");
   options = {};
