@@ -16,7 +16,6 @@
 #include "engine/engine_registry.hpp"
 #include "engine/process_engine.hpp"
 #include "graph/graphviz.hpp"
-#include "ipc/transport.hpp"
 #include "pc/pc_stable.hpp"
 #include "stats/ci_test_factory.hpp"
 #include "stats/table_builder.hpp"
@@ -83,10 +82,6 @@ int main(int argc, char** argv) {
                 "threads inside each rank for --engine process (0 = auto: "
                 "thread budget / ranks)",
                 "0");
-  args.add_flag("transport",
-                "rank IPC transport for --engine process (auto/pipe/socket; "
-                "auto = FASTBNS_IPC_TRANSPORT, default pipe)",
-                "auto");
   args.add_flag("max-rank-restarts",
                 "respawn budget per dead rank for --engine process before "
                 "its shard is re-partitioned onto survivors",
@@ -137,7 +132,6 @@ int main(int argc, char** argv) {
   options.rank_count = static_cast<std::int32_t>(args.get_int("ranks"));
   options.rank_threads =
       static_cast<std::int32_t>(args.get_int("rank-threads"));
-  options.ipc_transport = args.get("transport");
   options.max_rank_restarts =
       static_cast<std::int32_t>(args.get_int("max-rank-restarts"));
   options.fault_schedule = args.get("fault-schedule");
@@ -145,8 +139,8 @@ int main(int argc, char** argv) {
   options.alpha = args.get_double("alpha");
   options.max_depth = static_cast<std::int32_t>(args.get_int("max-depth"));
   try {
-    // Fail fast with the offending value (rank counts, transports,
-    // alpha, ...) instead of surfacing mid-run from the driver.
+    // Fail fast with the offending value (rank counts, alpha, ...)
+    // instead of surfacing mid-run from the driver.
     options.validate();
   } catch (const std::exception& error) {
     std::fprintf(stderr, "structure_tool: %s\n", error.what());
@@ -167,18 +161,12 @@ int main(int argc, char** argv) {
     input.data = Dataset(std::move(relaid));
   }
 
-  // Echo the rank/thread split the forked group will actually run with,
-  // and the resolved transport — "auto" may have been steered by
-  // FASTBNS_IPC_TRANSPORT, and which IPC path carried the run matters
-  // when comparing against a bench row.
+  // Echo the rank/thread split the forked group will actually run with.
   if (options.engine == EngineKind::kProcess) {
     const std::int32_t ranks = resolve_rank_count(options.rank_count);
     std::printf(
-        "process ranks: %d x %d threads; transport %s%s\n", ranks,
-        resolve_rank_threads(options.rank_threads, ranks, options.num_threads),
-        std::string(to_string(resolve_transport(options.ipc_transport)))
-            .c_str(),
-        options.ipc_transport == "auto" ? " (auto)" : "");
+        "process ranks: %d x %d threads\n", ranks,
+        resolve_rank_threads(options.rank_threads, ranks, options.num_threads));
   }
 
   // Hold the engine instance ourselves so post-run telemetry (recovery

@@ -85,16 +85,10 @@ int& bench_rank_count() {
   return ranks;
 }
 
-std::string& bench_ipc_transport() {
-  static std::string transport = "none";
-  return transport;
-}
-
 }  // namespace
 
-void set_bench_rank_context(int rank_count, const std::string& transport) {
+void set_bench_rank_context(int rank_count) {
   bench_rank_count() = rank_count;
-  bench_ipc_transport() = transport;
 }
 
 std::string bench_context_json() {
@@ -112,8 +106,6 @@ std::string bench_context_json() {
   append_json_string(out, std::string(to_string(active_simd_tier())));
   out += ", \"rank_count\": ";
   out += std::to_string(bench_rank_count());
-  out += ", \"ipc_transport\": ";
-  append_json_string(out, bench_ipc_transport());
   out += '}';
   return out;
 }

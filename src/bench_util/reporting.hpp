@@ -28,19 +28,17 @@ void emit_table(const std::string& title, const std::string& stem,
 /// call time: the cpus this process may run on (its sched_getaffinity
 /// mask), the OpenMP default thread count, whether OMP_PROC_BIND /
 /// OMP_PLACES binding is active, the SIMD tier the counting kernel
-/// dispatches to, and the worker-rank count + IPC transport declared via
+/// dispatches to, and the worker-rank count declared via
 /// set_bench_rank_context. A scaling number recorded on fewer cpus than
 /// it claims, or a kernel number without its tier, is unreproducible.
 [[nodiscard]] std::string bench_context_json();
 
 /// Declares the multi-process configuration for subsequent emit_table /
 /// bench_json calls: the largest worker-rank count the bench swept
-/// (0 = single-process, the default) and the IPC transport the ranks
-/// exchanged removal sets over ("none" when single-process; the process
-/// engine's is "fork+pipe+shm"). Emitted as the context block's
-/// `rank_count` / `ipc_transport` fields so a BENCH_*.json records how
-/// it was produced. Process-global, like the result directory
-/// convention.
-void set_bench_rank_context(int rank_count, const std::string& transport);
+/// (0 = single-process, the default; a positive count means forked
+/// ranks exchanging frames over pipes). Emitted as the context block's
+/// `rank_count` field so a BENCH_*.json records how it was produced.
+/// Process-global, like the result directory convention.
+void set_bench_rank_context(int rank_count);
 
 }  // namespace fastbns

@@ -5,7 +5,6 @@
 #include "common/timer.hpp"
 #include "engine/engine_registry.hpp"
 #include "ipc/shared_dataset.hpp"
-#include "ipc/transport.hpp"
 #include "stats/ci_test_factory.hpp"
 
 namespace fastbns {
@@ -79,17 +78,12 @@ EngineRunResult run_skeleton(const Workload& workload,
   request.table_builder = config.table_builder;
   request.covariance_builder = config.covariance_builder;
   // Mirror learn_structure: the process engine's ranks stream the
-  // dataset out of one MAP_SHARED segment (file-backed over the socket
-  // transport), so the bench measures the same data path production
-  // runs use.
+  // dataset out of one MAP_SHARED segment, so the bench measures the
+  // same data path production runs use.
   std::optional<SharedDatasetSegment> shared;
   const Dataset* data = &workload.data;
   if (config.engine == EngineKind::kProcess) {
-    if (resolve_transport(config.ipc_transport) == TransportKind::kSocket) {
-      shared.emplace(SharedDatasetSegment::create_file_backed(workload.data));
-    } else {
-      shared.emplace(SharedDatasetSegment::create(workload.data));
-    }
+    shared.emplace(SharedDatasetSegment::create(workload.data));
     data = &shared->dataset();
   }
   const std::unique_ptr<CiTest> test = make_ci_test(*data, request);
@@ -108,7 +102,6 @@ EngineRunResult run_skeleton(const Workload& workload,
   options.ci_test = config.ci_test;
   options.rank_count = config.rank_count;
   options.rank_threads = config.rank_threads;
-  options.ipc_transport = config.ipc_transport;
   options.max_rank_restarts = config.max_rank_restarts;
   options.fault_schedule = config.fault_schedule;
 

@@ -45,9 +45,6 @@ struct EngineRunConfig {
   /// by every other engine.
   std::int32_t rank_count = 0;
   std::int32_t rank_threads = 0;
-  /// Rank IPC transport (see PcOptions::ipc_transport): "auto", "pipe"
-  /// or "socket" — the transport column of the rank-sweep bench.
-  std::string ipc_transport = PcOptions{}.ipc_transport;
   /// Fault-tolerance knobs (see PcOptions::max_rank_restarts /
   /// fault_schedule): the recovery-overhead rows inject deterministic
   /// rank deaths and measure the respawn+replay cost against the clean

@@ -88,7 +88,6 @@
 #include "engine/engines.hpp"
 #include "fault/fault_schedule.hpp"
 #include "ipc/process_group.hpp"
-#include "ipc/transport.hpp"
 #include "ipc/wire.hpp"
 
 namespace fastbns {
@@ -220,8 +219,8 @@ int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
         return 0;  // command pipe EOF: the parent shut the group down
       }
       if (status != FrameReadStatus::kOk) {
-        // kBadTag (an unknown command is a supervisor logic bug — the
-        // transport is checksummed) or kCorrupt: fail loudly with the
+        // kBadTag (an unknown command is a supervisor logic bug — frames
+        // are checksummed) or kCorrupt: fail loudly with the
         // offending tag / status named; the parent surfaces the error.
         throw std::runtime_error(
             "process engine rank " + std::to_string(config.rank) +
@@ -288,12 +287,12 @@ int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
         }
         if (lethal->kind == FaultKind::kDropConn) {
           // Sever the channel with the process still alive: the
-          // supervisor sees EOF (pipe) / FIN (socket) while waitpid
-          // still says "running" — the dropped-connection shape a
-          // network transport produces — and must run the same respawn
-          // ladder a death triggers. Park (capped, like wedge) so an
-          // orphan cannot outlive a crashed parent forever.
-          if (result_fd != command_fd) ::close(result_fd);
+          // supervisor sees EOF on the result pipe while waitpid still
+          // says "running" — a dropped connection rather than a death —
+          // and must run the same respawn ladder a death triggers. Park
+          // (capped, like wedge) so an orphan cannot outlive a crashed
+          // parent forever.
+          ::close(result_fd);
           ::close(command_fd);
           for (int i = 0; i < 6000; ++i) {
             std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -373,9 +372,10 @@ int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
           frame_fault->kind == FaultKind::kPartialWrite) {
         // The prefix went out (send_frame_with_fault wrote half the
         // frame); now sever the channel — the supervisor reads a partial
-        // frame ending in EOF, the mid-write crash shape of a TCP peer,
-        // and must respawn + replay. Park alive, capped like wedge.
-        if (result_fd != command_fd) ::close(result_fd);
+        // frame ending in EOF, the shape of a writer that crashed
+        // mid-frame, and must respawn + replay. Park alive, capped like
+        // wedge.
+        ::close(result_fd);
         ::close(command_fd);
         for (int i = 0; i < 6000; ++i) {
           std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -694,14 +694,14 @@ class ProcessEngine final : public SkeletonEngine {
           return Gather::kMerged;
         }
       } else if (status == FrameReadStatus::kBadTag) {
-        // Satellite of the checksummed transport: the frame is
-        // CRC-valid, so an unknown tag is a protocol logic bug, not
-        // line noise — fail loudly naming rank and tag, never merge.
+        // The frame is CRC-valid, so an unknown tag is a protocol logic
+        // bug, not line noise — fail loudly naming rank and tag, never
+        // merge.
         group_.shutdown();
         throw std::runtime_error(
             "process engine: rank " + std::to_string(rank) +
             " replied with unknown protocol tag " + std::to_string(frame.tag) +
-            " — protocol error (the transport is checksummed, so this is "
+            " — protocol error (frames are checksummed, so this is "
             "a logic bug, not wire corruption)");
       } else if ((status == FrameReadStatus::kCorrupt ||
                   status == FrameReadStatus::kTimeout) &&
@@ -917,10 +917,6 @@ class ProcessEngine final : public SkeletonEngine {
     rank_count_ = resolve_rank_count(options.rank_count);
     rank_threads_ = resolve_rank_threads(options.rank_threads, rank_count_,
                                          options.num_threads);
-    // "auto" follows FASTBNS_IPC_TRANSPORT (default pipe) — the knob the
-    // CI socket leg turns without touching any call site.
-    transport_ = resolve_transport(options.ipc_transport);
-
     std::vector<RankConfig> configs(static_cast<std::size_t>(rank_count_));
     for (std::int32_t rank = 0; rank < rank_count_; ++rank) {
       RankConfig& config = configs[static_cast<std::size_t>(rank)];
@@ -944,7 +940,7 @@ class ProcessEngine final : public SkeletonEngine {
       return false;
     }
     try {
-      group_ = ProcessGroup::spawn(rank_count_, rank_main_, transport_);
+      group_ = ProcessGroup::spawn(rank_count_, rank_main_);
     } catch (const std::exception& error) {
       record_event(depth, -1, RecoveryAction::kDegrade,
                    std::string("initial spawn failed (") + error.what() +
@@ -961,7 +957,6 @@ class ProcessEngine final : public SkeletonEngine {
   std::int32_t rank_count_ = 0;
   std::int32_t rank_threads_ = 1;
   VarId num_vars_ = 0;
-  TransportKind transport_ = TransportKind::kPipe;
   FaultSchedule schedule_;
   int deadline_ms_ = kDefaultRankTimeoutMs;
   std::int32_t retry_limit_ = 2;

@@ -17,13 +17,13 @@
 // kill (exit without replying), wedge (stop responding until the
 // supervisor's per-frame deadline kills it), slow-rank (sleep ms before
 // every reply from `depth` on), drop-conn (sever the channel — close the
-// fds with the process still alive, the socket-flavored death where the
-// kernel reports EOF/FIN but waitpid says "still running"), and the
-// frame faults (delay-frame, corrupt-frame, truncate-frame,
-// partial-write — applied to the outgoing result frame, where the
-// checksummed retrying transport must recover; partial-write sends a
-// frame prefix and then severs the connection, the mid-write crash shape
-// a TCP peer produces); the supervisor executes spawn-fail (a
+// fds with the process still alive, a lost connection where the kernel
+// reports EOF but waitpid says "still running"), and the frame faults
+// (delay-frame, corrupt-frame, truncate-frame, partial-write — applied
+// to the outgoing result frame, where the checksummed retrying frame
+// protocol must recover; partial-write sends a frame prefix and then
+// severs the channel, the shape of a writer that crashes mid-frame);
+// the supervisor executes spawn-fail (a
 // fork/respawn that is declared to have failed — the deterministic
 // trigger of the degrade rung, which runs edge-parallel in-process). All
 // randomness (which payload byte a corrupt-frame flips) derives from the
@@ -66,13 +66,13 @@ enum class FaultKind : std::uint8_t {
   /// the supervisor must degrade to the in-process edge-parallel engine.
   kSpawnFail,
   /// Sever the channel without replying when a depth >= the event's
-  /// arms: close both channel fds (EOF/FIN at the supervisor) while the
-  /// process parks alive — the socket-flavored failure where the
-  /// connection dies before the process does. The supervisor's EOF
-  /// handling must run the respawn ladder exactly as for a kill.
+  /// arms: close both channel fds (EOF at the supervisor) while the
+  /// process parks alive — a lost connection: the channel dies before
+  /// the process does. The supervisor's EOF handling must run the
+  /// respawn ladder exactly as for a kill.
   kDropConn,
   /// Write only a prefix of the reply frame and then sever the channel,
-  /// once — a peer crashing mid-write over TCP. The receiver sees a
+  /// once — a peer crashing mid-write. The receiver sees a
   /// partial frame ending in EOF (kEof, not kTimeout) and must respawn +
   /// replay.
   kPartialWrite,

@@ -29,24 +29,17 @@ void close_fd(int& fd) noexcept {
   }
 }
 
-/// How long the parent waits for a freshly forked rank to complete the
-/// transport handshake (sockets: connect + HELLO/ACK; pipes: instant).
-/// Generous — a loopback handshake takes microseconds; this only bounds
-/// pathological cases (a child that segfaults before connecting is
-/// caught earlier via waitid).
-constexpr int kSpawnHandshakeTimeoutMs = 30'000;
-
 /// Non-throwing waitpid status probe: "exited with status 3", "killed by
 /// signal 9", or "still running" — the forensic detail a RankDeathError
 /// carries so a dead rank is diagnosable from the message alone.
 ///
 /// `grace_ms` keeps re-probing for that long before settling on "still
-/// running". Callers that just saw the rank's channel close (EOF, EPIPE)
-/// pass a small grace: the peer has provably closed its fds, but on the
-/// socket transport the FIN is delivered through the network stack and
-/// can arrive a beat before the exiting process becomes waitpid-visible
-/// — without the grace the message would misreport a cleanly dead rank
-/// as wedged. Timeout paths pass 0: there the rank really may be alive,
+/// running". Callers that just saw the rank's pipe close (EOF, EPIPE)
+/// pass a small grace: the kernel closes a dying process's fds — which
+/// is what delivers the EOF — before the process becomes a
+/// waitpid-visible zombie, so the EOF can win that race by a beat.
+/// Without the grace the message would misreport a cleanly dead rank as
+/// wedged. Timeout paths pass 0: there the rank really may be alive,
 /// and stalling the recovery ladder to re-ask would cost latency for no
 /// information.
 std::string describe_waitpid(pid_t pid, int grace_ms = 0) noexcept {
@@ -78,8 +71,7 @@ constexpr int kEofForensicsGraceMs = 500;
 ProcessGroup::~ProcessGroup() { shutdown(); }
 
 ProcessGroup::ProcessGroup(ProcessGroup&& other) noexcept
-    : ranks_(std::move(other.ranks_)),
-      transport_(std::move(other.transport_)) {
+    : ranks_(std::move(other.ranks_)) {
   other.ranks_.clear();
 }
 
@@ -87,21 +79,18 @@ ProcessGroup& ProcessGroup::operator=(ProcessGroup&& other) noexcept {
   if (this != &other) {
     shutdown();
     ranks_ = std::move(other.ranks_);
-    transport_ = std::move(other.transport_);
     other.ranks_.clear();
   }
   return *this;
 }
 
-ProcessGroup ProcessGroup::spawn(int rank_count, const RankMain& rank_main,
-                                 TransportKind transport) {
+ProcessGroup ProcessGroup::spawn(int rank_count, const RankMain& rank_main) {
   if (rank_count < 1) {
     throw std::runtime_error("ProcessGroup::spawn: rank_count must be >= 1, got " +
                              std::to_string(rank_count));
   }
   ignore_sigpipe_once();
   ProcessGroup group;
-  group.transport_ = make_rank_transport(transport, rank_count);
   group.ranks_.resize(static_cast<std::size_t>(rank_count));
   for (int rank = 0; rank < rank_count; ++rank) {
     try {
@@ -115,45 +104,47 @@ ProcessGroup ProcessGroup::spawn(int rank_count, const RankMain& rank_main,
 }
 
 void ProcessGroup::close_rank_fds(Rank& slot) noexcept {
-  // A duplex transport aliases result_fd to command_fd; drop the alias
-  // before closing so the fd is closed exactly once (a second close
-  // could hit an unrelated fd another thread just opened).
-  if (slot.result_fd == slot.command_fd) slot.result_fd = -1;
   close_fd(slot.command_fd);
   close_fd(slot.result_fd);
 }
 
 void ProcessGroup::fork_into_slot(int rank, const RankMain& rank_main) {
   Rank& slot = ranks_.at(static_cast<std::size_t>(rank));
-  if (!transport_) {
-    // A default-constructed group being refilled directly (tests do
-    // this): fall back to the original pipe topology.
-    transport_ = make_rank_transport(TransportKind::kPipe, rank_count());
+  int command[2] = {-1, -1};  // parent writes [1], rank reads [0]
+  int result[2] = {-1, -1};   // rank writes [1], parent reads [0]
+  if (::pipe(command) != 0) {
+    throw std::runtime_error("ProcessGroup: pipe() failed for rank " +
+                             std::to_string(rank) + "'s command channel");
   }
-  transport_->stage(rank);
+  if (::pipe(result) != 0) {
+    close_fd(command[0]);
+    close_fd(command[1]);
+    throw std::runtime_error("ProcessGroup: pipe() failed for rank " +
+                             std::to_string(rank) + "'s result channel");
+  }
   const pid_t pid = ::fork();
   if (pid < 0) {
-    transport_->unstage(rank);
+    for (int* fd : {&command[0], &command[1], &result[0], &result[1]}) {
+      close_fd(*fd);
+    }
     throw std::runtime_error("ProcessGroup: fork() failed for rank " +
                              std::to_string(rank));
   }
   if (pid == 0) {
     // Rank side. Drop every fd that belongs to the parent or to the
     // sibling ranks alive at fork time: a rank holding a sibling's
-    // command write-end (or duplex socket) would keep that sibling alive
-    // past the parent's EOF-based shutdown. (Respawned ranks inherit
-    // every current sibling's fds, so the loop covers the whole table,
-    // skipping the closed slots.) Then drop the transport's parent-global
-    // resources (a socket listener) and finish this rank's attachment —
-    // for sockets, connect + rank-hello handshake.
+    // command write-end would keep that sibling alive past the parent's
+    // EOF-based shutdown. (Respawned ranks inherit every current
+    // sibling's fds, so the loop covers the whole table, skipping the
+    // closed slots.) Then drop the parent's ends of this rank's pipes.
     for (Rank& sibling : ranks_) {
       close_rank_fds(sibling);
     }
-    transport_->close_in_child();
+    close_fd(command[1]);
+    close_fd(result[0]);
     int status = 1;
     try {
-      const ChannelFds fds = transport_->child_attach(rank);
-      status = rank_main(rank, fds.command_fd, fds.result_fd);
+      status = rank_main(rank, command[0], result[1]);
     } catch (...) {
       status = 1;
     }
@@ -161,19 +152,9 @@ void ProcessGroup::fork_into_slot(int rank, const RankMain& rank_main) {
     // gtest state and sanitizer hooks, none of which may run twice.
     ::_exit(status);
   }
-  // Parent side: complete the attachment (for sockets this accepts the
-  // rank's connection and validates its hello; a child that dies before
-  // connecting fails this fast rather than after the full deadline).
-  ChannelFds fds{};
-  try {
-    fds = transport_->parent_attach(rank, pid, kSpawnHandshakeTimeoutMs);
-  } catch (...) {
-    ::kill(pid, SIGKILL);
-    ::waitpid(pid, nullptr, 0);
-    transport_->unstage(rank);
-    throw;
-  }
-  slot = {pid, fds.command_fd, fds.result_fd};
+  close_fd(command[0]);
+  close_fd(result[1]);
+  slot = {pid, command[1], result[0]};
 }
 
 void ProcessGroup::respawn(int rank, const RankMain& rank_main) {
@@ -300,7 +281,6 @@ void ProcessGroup::shutdown(int timeout_ms) noexcept {
     rank.pid = -1;
   }
   ranks_.clear();
-  transport_.reset();  // drops the socket listener (or staged pipe ends)
 }
 
 }  // namespace fastbns

@@ -3,17 +3,15 @@
 // spawn() forks N ranks; each runs a caller-supplied function over a
 // command/result fd pair (commands flow parent→rank, results
 // rank→parent) and _exit()s — never returning into the parent's
-// atexit/test-framework machinery. How that fd pair comes into being is
-// the transport's business (ipc/transport.hpp): the pipe transport
-// splits inherited pipe pairs, the socket transport accepts a TCP
-// loopback connection per rank behind a rank-hello handshake (one
-// duplex fd serves both directions). The parent talks to ranks through
-// send()/receive(); every receive is deadline-bounded, and a rank that
-// dies (EOF on its channel — detected by the kernel immediately) or
-// wedges (deadline expiry) produces a RankDeathError naming the rank
-// and its waitpid status after the whole group is torn down. A dead
-// rank therefore yields a clear error, never a hang — the supervisor
-// contract the multi-process engine relies on.
+// atexit/test-framework machinery. The pair is two pipes created just
+// before the fork; each side closes the ends it does not own. The parent
+// talks to ranks through send()/receive(); every receive is
+// deadline-bounded, and a rank that dies (EOF on its result pipe —
+// detected by the kernel immediately) or wedges (deadline expiry)
+// produces a RankDeathError naming the rank and its waitpid status after
+// the whole group is torn down. A dead rank therefore yields a clear
+// error, never a hang — the supervisor contract the multi-process engine
+// relies on.
 //
 // fork() hazards this module owns:
 //  - SIGPIPE is ignored process-wide (once, at first spawn) so writing to
@@ -30,13 +28,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "ipc/transport.hpp"
 #include "ipc/wire.hpp"
 
 namespace fastbns {
@@ -68,31 +64,17 @@ class ProcessGroup {
   ProcessGroup(const ProcessGroup&) = delete;
   ProcessGroup& operator=(const ProcessGroup&) = delete;
 
-  /// Forks `rank_count` ranks over the chosen transport, each running
-  /// `rank_main` and then _exit()ing with its return value. Throws
-  /// std::runtime_error when channel creation, fork, or (sockets) the
-  /// rank-hello handshake fails (already-spawned ranks are torn down
+  /// Forks `rank_count` ranks, each running `rank_main` and then
+  /// _exit()ing with its return value. Throws std::runtime_error when
+  /// pipe creation or fork fails (already-spawned ranks are torn down
   /// first).
-  [[nodiscard]] static ProcessGroup spawn(
-      int rank_count, const RankMain& rank_main,
-      TransportKind transport = TransportKind::kPipe);
+  [[nodiscard]] static ProcessGroup spawn(int rank_count,
+                                          const RankMain& rank_main);
 
   [[nodiscard]] int rank_count() const noexcept {
     return static_cast<int>(ranks_.size());
   }
   [[nodiscard]] bool empty() const noexcept { return ranks_.empty(); }
-
-  /// The transport the group was spawned over (kPipe for a
-  /// default-constructed group).
-  [[nodiscard]] TransportKind transport_kind() const noexcept {
-    return transport_ ? transport_->kind() : TransportKind::kPipe;
-  }
-
-  /// The transport's connect string ("pipe://fork" or
-  /// "tcp://127.0.0.1:PORT") — what a future external worker would dial.
-  [[nodiscard]] std::string connect_string() const {
-    return transport_ ? transport_->connect_string() : "pipe://fork";
-  }
 
   /// Sends one frame to `rank`. Throws RankDeathError (after tearing the
   /// group down) when the rank's pipe is broken — it died.
@@ -108,7 +90,7 @@ class ProcessGroup {
   // The throwing send/receive above treat any failure as fatal to the
   // whole group — the fail-loud contract. A supervisor that recovers
   // ranks instead uses these: nothing here ever tears the group down or
-  // throws for a transport failure; the caller owns the recovery ladder.
+  // throws for a channel failure; the caller owns the recovery ladder.
 
   /// Sends one frame to `rank`; false when its pipe is broken or the
   /// slot is dead (kill_rank'ed and not yet respawned). Never throws,
@@ -137,12 +119,11 @@ class ProcessGroup {
   void kill_rank(int rank) noexcept;
 
   /// Refills a dead (or still-open: it is kill_rank'ed first) slot with
-  /// a fresh fork of `rank_main`, giving it fresh channels over the same
-  /// transport (sockets re-run the rank-hello handshake against the
-  /// persistent listener). Throws std::runtime_error when channel
-  /// creation, fork() or the handshake fails — the caller's cue to
-  /// degrade rather than retry forever. The respawned process closes
-  /// every sibling fd it inherited, like the initial spawn.
+  /// a fresh fork of `rank_main` over fresh pipe pairs. Throws
+  /// std::runtime_error when pipe creation or fork() fails — the
+  /// caller's cue to degrade rather than retry forever. The respawned
+  /// process closes every sibling fd it inherited, like the initial
+  /// spawn.
   void respawn(int rank, const RankMain& rank_main);
 
   /// waitpid forensics for `rank` ("exited with status 3", "killed by
@@ -159,25 +140,21 @@ class ProcessGroup {
   struct Rank {
     pid_t pid = -1;
     int command_fd = -1;  ///< parent writes commands here
-    int result_fd = -1;   ///< parent reads results here (may alias
-                          ///< command_fd on a duplex transport)
+    int result_fd = -1;   ///< parent reads results here
   };
 
-  /// Closes a slot's channel fds exactly once even when a duplex
-  /// transport aliased them — the double-close guard every teardown
-  /// path funnels through.
+  /// Closes a slot's pipe ends; every teardown path funnels through it.
   static void close_rank_fds(Rank& slot) noexcept;
 
   /// Tears the group down and throws RankDeathError for `rank`.
   [[noreturn]] void fail_rank(int rank, const std::string& reason);
 
-  /// Forks a fresh process into slot `rank` over transport_; throws
-  /// std::runtime_error on channel/fork/handshake failure with the slot
-  /// left dead (a mid-handshake child is killed and reaped first).
+  /// Forks a fresh process into slot `rank` over a new pipe pair;
+  /// throws std::runtime_error on pipe/fork failure with the slot left
+  /// dead.
   void fork_into_slot(int rank, const RankMain& rank_main);
 
   std::vector<Rank> ranks_;
-  std::unique_ptr<RankTransport> transport_;
 };
 
 }  // namespace fastbns

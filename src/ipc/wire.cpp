@@ -45,11 +45,6 @@ FrameReadStatus read_exact(int fd, void* out, std::size_t size,
     const ssize_t n = ::read(fd, cursor + done, size - done);
     if (n < 0) {
       if (errno == EINTR) continue;
-      // SO_RCVTIMEO (the socket transport's defense-in-depth backstop)
-      // surfaces as EAGAIN/EWOULDBLOCK — a deadline, not a dead peer.
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return FrameReadStatus::kTimeout;
-      }
       return FrameReadStatus::kEof;
     }
     if (n == 0) return FrameReadStatus::kEof;

@@ -124,18 +124,15 @@ struct PcOptions {
   /// Backoff between retransmit attempts, in milliseconds, scaled
   /// linearly by the attempt number (kProcess only).
   std::int32_t frame_retry_backoff_ms = 10;
-  /// Rank IPC transport of the multi-process engine (kProcess only):
-  /// "pipe" (fork-inherited pipe pairs + anonymous MAP_SHARED dataset),
-  /// "socket" (TCP loopback with a rank-hello handshake + file-backed
-  /// dataset the ranks mmap read-only — the multi-host stepping stone),
-  /// or "auto" (the FASTBNS_IPC_TRANSPORT environment override,
-  /// defaulting to pipe). Both transports speak the identical frame
-  /// protocol and produce bit-identical results; only the channel
-  /// plumbing differs. Resolved by ipc/transport.hpp.
+  /// Rank IPC channel of the multi-process engine: "auto" or "pipe",
+  /// both meaning fork-inherited pipe pairs over the anonymous
+  /// MAP_SHARED dataset — the only channel there is. Kept so existing
+  /// callers that name the channel keep validating; validate() rejects
+  /// every other name.
   std::string ipc_transport = "auto";
   /// Deterministic fault schedule (fault/fault_schedule.hpp grammar,
   /// e.g. "kill@rank=1,depth=2;corrupt-frame@rank=0,depth=1") injected
-  /// into the multi-process engine's ranks and transport — the CI/test
+  /// into the multi-process engine's ranks and frames — the CI/test
   /// hook that exercises every recovery path. Empty = the
   /// FASTBNS_FAULT_SCHEDULE environment variable (default: no faults).
   std::string fault_schedule;
@@ -161,7 +158,7 @@ struct PcOptions {
   /// Throws std::invalid_argument when any field is out of range:
   /// group_size >= 1, alpha in (0, 1), max_depth >= -1, 0 <= num_threads
   /// <= kMaxThreads, 0 <= rank_count <= kMaxRanks, rank_threads likewise
-  /// against kMaxThreads, ipc_transport a known transport (auto/pipe/socket),
+  /// against kMaxThreads, ipc_transport a known transport (auto/pipe),
   /// table_builder a known kernel name, ci_test a known statistic name
   /// (auto/discrete/gaussian/oracle), and max_table_cells
   /// >= 4 (a smaller cap cannot hold even the 2x2 marginal table of two

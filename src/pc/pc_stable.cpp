@@ -7,7 +7,6 @@
 #include "engine/engine_registry.hpp"
 #include "engine/skeleton_engine.hpp"
 #include "ipc/shared_dataset.hpp"
-#include "ipc/transport.hpp"
 #include "stats/ci_test_factory.hpp"
 
 namespace fastbns {
@@ -47,18 +46,11 @@ PcStableResult learn_structure(const Dataset& data, const PcOptions& options,
   // The multi-process engine forks worker ranks; mount the dataset in a
   // MAP_SHARED segment first so every rank streams the same physical
   // pages (mapped once, zero per-rank copies — not even COW duplicates).
-  // Over the socket transport the segment is file-backed instead: the
-  // same pages, but reachable by a path — the shape ranks that do not
-  // share an address space (the multi-host step) will mount read-only.
   const EngineInfo* info = EngineRegistry::instance().find(engine.name());
   std::optional<SharedDatasetSegment> shared;
   const Dataset* active = &data;
   if (info != nullptr && info->kind == EngineKind::kProcess) {
-    if (resolve_transport(options.ipc_transport) == TransportKind::kSocket) {
-      shared.emplace(SharedDatasetSegment::create_file_backed(data));
-    } else {
-      shared.emplace(SharedDatasetSegment::create(data));
-    }
+    shared.emplace(SharedDatasetSegment::create(data));
     active = &shared->dataset();
   }
   const std::unique_ptr<CiTest> test = make_ci_test(*active, request);

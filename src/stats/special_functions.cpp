@@ -1,5 +1,7 @@
 #include "stats/special_functions.hpp"
 
+#include <math.h>
+
 #include <cmath>
 #include <limits>
 
@@ -47,7 +49,14 @@ double gamma_q_continued_fraction(double a, double x) noexcept {
 
 }  // namespace
 
-double log_gamma(double x) noexcept { return std::lgamma(x); }
+// lgamma_r, not std::lgamma: lgamma stores the sign of Gamma(x) in the
+// global signgam, a data race when the CI-level threads evaluate G²
+// p-values concurrently. lgamma_r runs the same glibc kernel and hands
+// the sign back through its argument instead, so results are unchanged.
+double log_gamma(double x) noexcept {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
 
 double regularized_gamma_p(double a, double x) noexcept {
   if (x <= 0.0) return 0.0;

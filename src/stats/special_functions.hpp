@@ -8,7 +8,7 @@
 
 namespace fastbns {
 
-/// log Gamma(x), x > 0.
+/// log Gamma(x), x > 0. Thread-safe: touches no global state.
 [[nodiscard]] double log_gamma(double x) noexcept;
 
 /// Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a),

@@ -9,7 +9,7 @@
 // adjacency, separating sets and removal depths against the optimized
 // sequential reference. On a mismatch the failure message is a complete
 // reproducer: the seed, the engine pair (reference vs subject), the
-// builder and per-seed knobs (gs, rank count/threads/transport), and the
+// builder and per-seed knobs (gs, rank count/threads), and the
 // first divergent edge.
 //
 // Seed sweep: FASTBNS_FUZZ_SEEDS overrides the default of 10 seeds (the
@@ -87,10 +87,6 @@ TEST(EngineFuzz, EveryEngineEveryBuilderMatchesTheSequentialReference) {
     const std::int32_t rank_count[] = {1, 2, 4};
     const auto ranks = rank_count[seed % 3];
     const auto rank_threads = static_cast<std::int32_t>(1 + seed % 2);
-    // Alternate the rank IPC transport per seed so the differential
-    // sweep covers the socket path (TCP loopback + file-backed dataset)
-    // as heavily as the pipe path — only process engines consume it.
-    const char* ipc_transport = seed % 2 == 0 ? "pipe" : "socket";
 
     for (const std::string& engine : engines) {
       for (const std::string& builder : builders) {
@@ -101,7 +97,6 @@ TEST(EngineFuzz, EveryEngineEveryBuilderMatchesTheSequentialReference) {
         options.group_size = gs;
         options.rank_count = ranks;
         options.rank_threads = rank_threads;
-        options.ipc_transport = ipc_transport;
         options.table_builder = builder;
         CiTestOptions test_options;
         test_options.sample_parallel =
@@ -115,7 +110,7 @@ TEST(EngineFuzz, EveryEngineEveryBuilderMatchesTheSequentialReference) {
                       << " engine pair fastbns-seq(scalar) vs " << engine
                       << "(" << builder << ")"
                       << " gs=" << gs << " ranks=" << ranks << "x"
-                      << rank_threads << " ipc=" << ipc_transport << ": "
+                      << rank_threads << ": "
                       << fuzz::describe_divergence(reference, actual, n);
       }
     }

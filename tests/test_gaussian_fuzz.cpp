@@ -86,9 +86,6 @@ TEST(GaussianFuzz, EveryEngineEveryCovarianceBuilderMatchesTheReference) {
     const std::int32_t rank_count[] = {1, 2, 4};
     const auto ranks = rank_count[seed % 3];
     const auto rank_threads = static_cast<std::int32_t>(1 + seed % 2);
-    // Alternate the rank IPC transport per seed (the continuous dataset
-    // ships file-backed over sockets — doubles block, no codes8 mirror).
-    const char* ipc_transport = seed % 2 == 0 ? "pipe" : "socket";
 
     for (const std::string& engine : engines) {
       for (const std::string& builder : builders) {
@@ -99,7 +96,6 @@ TEST(GaussianFuzz, EveryEngineEveryCovarianceBuilderMatchesTheReference) {
         options.group_size = gs;
         options.rank_count = ranks;
         options.rank_threads = rank_threads;
-        options.ipc_transport = ipc_transport;
         options.ci_test = "gaussian";
         GaussianCiTestOptions test_options;
         test_options.covariance_builder = builder;
@@ -111,7 +107,7 @@ TEST(GaussianFuzz, EveryEngineEveryCovarianceBuilderMatchesTheReference) {
                       << " engine pair fastbns-seq(scalar) vs " << engine
                       << "(" << builder << ")"
                       << " gs=" << gs << " ranks=" << ranks << "x"
-                      << rank_threads << " ipc=" << ipc_transport << ": "
+                      << rank_threads << ": "
                       << fuzz::describe_divergence(reference, actual, n);
       }
     }

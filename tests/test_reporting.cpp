@@ -93,26 +93,23 @@ TEST(BenchJson, MachineContextBlockIsEmbeddedInEveryBenchJson) {
   EXPECT_NE(json.find("\"context\": {"), std::string::npos);
   for (const char* key :
        {"\"cpus\":", "\"omp_max_threads\":", "\"omp_binding_env\":",
-        "\"simd_tier\":", "\"rank_count\":", "\"ipc_transport\":"}) {
+        "\"simd_tier\":", "\"rank_count\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
 }
 
 TEST(BenchJson, ContextReflectsTheDeclaredRankSweep) {
   // A multi-process bench must be distinguishable from a single-process
-  // one by its JSON alone: rank_count/ipc_transport default to the
-  // single-process 0/"none" and follow set_bench_rank_context.
-  EXPECT_NE(bench_context_json().find(
-                "\"rank_count\": 0, \"ipc_transport\": \"none\""),
+  // one by its JSON alone: rank_count defaults to the single-process 0
+  // and follows set_bench_rank_context.
+  EXPECT_NE(bench_context_json().find("\"rank_count\": 0}"),
             std::string::npos)
       << bench_context_json();
-  set_bench_rank_context(4, "fork+pipe+shm");
+  set_bench_rank_context(4);
   const std::string context = bench_context_json();
-  set_bench_rank_context(0, "none");
-  EXPECT_NE(context.find("\"rank_count\": 4"), std::string::npos) << context;
-  EXPECT_NE(context.find("\"ipc_transport\": \"fork+pipe+shm\""),
-            std::string::npos)
-      << context;
+  set_bench_rank_context(0);
+  EXPECT_NE(context.find("\"rank_count\": 4}"), std::string::npos) << context;
+  EXPECT_EQ(context.find("ipc_transport"), std::string::npos) << context;
 }
 
 TEST(BenchJson, ContextRecordsTheAffinityCpusAndTheActiveSimdTier) {

@@ -210,18 +210,29 @@ TEST(Skeleton, ValidateRejectsNonsensicalOptionsUpFront) {
     EXPECT_NE(message.find("pearson"), std::string::npos) << message;
     EXPECT_NE(message.find("gaussian"), std::string::npos) << message;
   }
-  // Unknown IPC transports too: the message must name the value and the
-  // accepted vocabulary so a typoed --transport is diagnosable.
-  PcOptions typo_transport;
-  typo_transport.ipc_transport = "shared-memory";
-  try {
-    typo_transport.validate();
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& error) {
-    const std::string message = error.what();
-    EXPECT_NE(message.find("shared-memory"), std::string::npos) << message;
-    EXPECT_NE(message.find("pipe"), std::string::npos) << message;
-    EXPECT_NE(message.find("socket"), std::string::npos) << message;
+  // Unknown IPC transports too, "socket" among them: the message must
+  // name the value and the accepted vocabulary so a typoed transport is
+  // diagnosable.
+  for (const char* bad_transport : {"shared-memory", "socket"}) {
+    PcOptions typo_transport;
+    typo_transport.ipc_transport = bad_transport;
+    try {
+      typo_transport.validate();
+      FAIL() << "expected std::invalid_argument for " << bad_transport;
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(std::string("\"") + bad_transport + "\""),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("known transports: auto pipe"),
+                std::string::npos)
+          << message;
+    }
+  }
+  for (const char* good_transport : {"auto", "pipe"}) {
+    PcOptions named;
+    named.ipc_transport = good_transport;
+    EXPECT_NO_THROW(named.validate()) << good_transport;
   }
   // The engine-dependent combination — every permitted table smaller
   // than the effective thread count makes sample-parallel builds pure

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 namespace fastbns {
 namespace {
@@ -104,6 +106,42 @@ TEST(ChiSquare, MedianApproximation) {
 TEST(ChiSquare, InvalidDfIsNaN) {
   EXPECT_TRUE(std::isnan(chi_square_survival(1.0, 0.0)));
   EXPECT_TRUE(std::isnan(chi_square_survival(1.0, -2.0)));
+}
+
+TEST(SpecialFunctions, ConcurrentCallsMatchTheSerialValues) {
+  // Every G² test evaluates chi_square_survival (hence log_gamma) on the
+  // CI-level worker threads at once. Four threads over the same grid must
+  // reproduce the serial values bit for bit; under -fsanitize=thread this
+  // case also proves the evaluation touches no shared state.
+  std::vector<double> args;
+  for (int i = 1; i <= 400; ++i) args.push_back(0.05 * i);
+  std::vector<double> serial_lgamma;
+  std::vector<double> serial_survival;
+  for (const double x : args) {
+    serial_lgamma.push_back(log_gamma(x));
+    serial_survival.push_back(chi_square_survival(4.0 * x, x));
+  }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<double>> lgammas(kThreads);
+  std::vector<std::vector<double>> survivals(kThreads);
+  std::vector<std::thread> team;
+  for (int t = 0; t < kThreads; ++t) {
+    team.emplace_back([&, t] {
+      for (int round = 0; round < 25; ++round) {
+        lgammas[t].clear();
+        survivals[t].clear();
+        for (const double x : args) {
+          lgammas[t].push_back(log_gamma(x));
+          survivals[t].push_back(chi_square_survival(4.0 * x, x));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : team) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(lgammas[t], serial_lgamma) << "thread " << t;
+    EXPECT_EQ(survivals[t], serial_survival) << "thread " << t;
+  }
 }
 
 }  // namespace
