@@ -3,8 +3,8 @@
 // Depth 0 uses plain edge-level parallelism: each edge needs exactly one
 // marginal test, so the workload is known and balanced up front. For
 // depth >= 1, the dynamic work pool schedules groups of gs CI tests; a
-// thread that finishes an edge's group immediately pops another edge, so
-// no thread idles while tests remain — the paper's load-balancing claim.
+// thread that finishes its claim immediately pops another edge, so no
+// thread idles while tests remain — the paper's load-balancing claim.
 #include <thread>
 
 #include "common/omp_utils.hpp"
@@ -15,6 +15,37 @@
 
 namespace fastbns {
 namespace {
+
+/// Depth 0: each edge needs exactly one marginal test, so the workload is
+/// known and balanced up front and a static edge-level partition is
+/// optimal (the paper's prescription for depth zero).
+std::int64_t run_depth_zero_edge_parallel(
+    std::vector<EdgeWork>& works,
+    std::vector<std::unique_ptr<CiTest>>& clones) {
+  std::int64_t tests = 0;
+#pragma omp parallel for schedule(static) reduction(+ : tests)
+  for (std::int64_t i = 0; i < static_cast<std::int64_t>(works.size()); ++i) {
+    EdgeWork& work = works[i];
+    if (work.total_tests() == 0) continue;
+    tests += process_work_tests(work, /*depth=*/0, 1,
+                                *clones[current_thread()],
+                                /*use_group_protocol=*/true);
+  }
+  return tests;
+}
+
+/// Indices of the works with pending tests — the pool's initial stack;
+/// its size is also the pool's outstanding count (works without tests
+/// never enter the pool).
+std::vector<std::int64_t> pending_work_indices(
+    const std::vector<EdgeWork>& works) {
+  std::vector<std::int64_t> indices;
+  indices.reserve(works.size());
+  for (std::int64_t i = 0; i < static_cast<std::int64_t>(works.size()); ++i) {
+    if (works[i].total_tests() > 0) indices.push_back(i);
+  }
+  return indices;
+}
 
 class CiParallelEngine final : public ClonePoolEngine {
  public:
@@ -40,40 +71,40 @@ class CiParallelEngine final : public ClonePoolEngine {
     WorkPool pool(std::move(initial), outstanding);
 
     const auto gs = static_cast<std::uint64_t>(options.group_size);
-    // Edges claimed per pool interaction: amortizes the lock across
-    // several groups (the paper pops t edges per round). Small enough
-    // that the tail of a depth still load-balances.
-    constexpr std::size_t kClaimBatch = 8;
+    // Groups run per claim: one pop and at most one push per 8 groups
+    // amortize the lock (the paper pops t edges per round), and because
+    // all 8 groups test the same edge, the endpoint codes begin_group
+    // computed stay cached in this thread's clone (Section IV-C). Small
+    // enough that the tail of a depth still load-balances.
+    constexpr int kGroupsPerClaim = 8;
 
 #pragma omp parallel reduction(+ : tests)
     {
       CiTest& test = *clones[current_thread()];
-      std::vector<std::int64_t> claimed;
-      std::vector<std::int64_t> keep;
       while (!pool.all_complete()) {
-        if (pool.try_pop_batch(kClaimBatch, claimed) == 0) {
+        const std::optional<std::int64_t> index = pool.try_pop();
+        if (!index.has_value()) {
           // Pool momentarily dry but some edges are still being processed
           // and may return; yield instead of spinning hot.
           std::this_thread::yield();
           continue;
         }
-        keep.clear();
-        for (const std::int64_t index : claimed) {
-          EdgeWork& work = works[index];
-          // The holder owns `work` exclusively: no atomics on its fields.
+        // The holder owns `work` exclusively: no atomics on its fields.
+        EdgeWork& work = works[*index];
+        for (int group = 0; group < kGroupsPerClaim && !work.finished();
+             ++group) {
           tests += options.eager_group_stop
                        ? process_work_tests_early_stop(
                              work, depth, gs, test,
                              /*use_group_protocol=*/true)
                        : process_work_tests(work, depth, gs, test,
                                             /*use_group_protocol=*/true);
-          if (work.finished()) {
-            pool.mark_complete();
-          } else {
-            keep.push_back(index);
-          }
         }
-        pool.push_batch(keep);
+        if (work.finished()) {
+          pool.mark_complete();
+        } else {
+          pool.push(*index);
+        }
       }
     }
     return tests;

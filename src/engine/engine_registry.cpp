@@ -47,19 +47,15 @@ EngineRegistry::EngineRegistry() {
                    "sequential edge loop with sample-parallel contingency "
                    "tables (Section IV-A)"},
                   make_sample_parallel_engine);
+  // "async(depth-overlap)" names the deleted depth-overlap engine; it
+  // stays an alias here because the benchmark package's probe tests
+  // still select that name.
   register_engine({EngineKind::kCiParallel,
                    "fastbns-par(ci-level)",
-                   {"ci", "ci-parallel", "fastbns-par"},
+                   {"ci", "ci-parallel", "fastbns-par", "async(depth-overlap)"},
                    "CI-level parallelism over the dynamic work pool "
                    "(Section IV-B)"},
                   make_ci_parallel_engine);
-  register_engine({EngineKind::kAsync,
-                   "async(depth-overlap)",
-                   {"async", "overlap"},
-                   "CI-level dynamic pool whose idle tail threads prepare "
-                   "the next depth's work list (settled-edge candidate sets "
-                   "+ records) instead of spinning at the depth barrier"},
-                  make_async_engine);
   register_engine({EngineKind::kProcess,
                    "process(rank-partition)",
                    {"process", "mpp"},

@@ -43,14 +43,10 @@ class SkeletonEngine {
                                  std::int32_t depth, const CiTest& prototype,
                                  const PcOptions& options) = 0;
 
-  /// Depth-handoff seam for engines that overlap next-depth work-list
-  /// construction with the current depth's tail (the async engine). The
-  /// driver calls it right before it would snapshot `depth`'s work list;
-  /// an engine that prepared the list during the previous run_depth fills
-  /// `works` — it must equal build_depth_works(graph, depth, grouped)
-  /// exactly, because `graph` already has the previous depth's removals
-  /// committed — and returns true. The default (every synchronous
-  /// engine) returns false and the driver builds from scratch.
+  /// Former depth-handoff seam of the deleted depth-overlap engine. The
+  /// driver no longer calls it and no library engine overrides it; it
+  /// stays, returning false, only because the benchmark package's engine
+  /// wrappers (cpdag_bench/probes.*) override it. Drop it with them.
   [[nodiscard]] virtual bool take_prepared_depth_works(
       std::int32_t depth, const UndirectedGraph& graph, bool grouped,
       std::vector<EdgeWork>& works) {

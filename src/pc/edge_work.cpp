@@ -16,8 +16,8 @@ void snapshot_candidates(const UndirectedGraph& graph, VarId v, VarId excluded,
   if (it != out.end()) out.erase(it);
 }
 
-}  // namespace
-
+/// The work unit of one edge (x, y) at depth `d`. Grouped works cover
+/// both directions; ungrouped works carry direction (x, y) only.
 EdgeWork build_edge_work(const UndirectedGraph& graph, VarId x, VarId y,
                          std::int32_t depth, bool group_endpoints) {
   EdgeWork work;
@@ -38,6 +38,8 @@ EdgeWork build_edge_work(const UndirectedGraph& graph, VarId x, VarId y,
   }
   return work;
 }
+
+}  // namespace
 
 std::vector<EdgeWork> build_depth_works(const UndirectedGraph& graph,
                                         std::int32_t depth,

@@ -41,17 +41,6 @@ struct EdgeWork {
   }
 };
 
-/// Builds the work unit of one edge (x, y) at depth `d` from the current
-/// graph snapshot — the per-edge core of build_depth_works, exposed so
-/// engines that prepare the next depth's work list concurrently with the
-/// current depth's tail (the async engine) can construct records
-/// per-edge. Thread-safe: it only reads `graph`. Grouped works cover
-/// both directions; ungrouped works carry direction (x, y) only. Depth 0
-/// is the single-marginal-test special case of Section IV-B.
-[[nodiscard]] EdgeWork build_edge_work(const UndirectedGraph& graph, VarId x,
-                                       VarId y, std::int32_t depth,
-                                       bool group_endpoints);
-
 /// Builds the works of depth `d` from the current graph snapshot.
 /// Grouped: one work per undirected edge covering both directions.
 /// Ungrouped: two works per edge, (x, y) then (y, x), direction-1 only —

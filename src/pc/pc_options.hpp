@@ -8,7 +8,7 @@
 namespace fastbns {
 
 /// The builtin skeleton engines: the five of the paper's evaluation plus
-/// the async and process extensions.
+/// the process extension.
 enum class EngineKind : std::uint8_t {
   /// bnlearn-like baseline: ordered edge directions processed separately,
   /// conditioning sets materialized ahead of time, no endpoint-code reuse.
@@ -25,11 +25,6 @@ enum class EngineKind : std::uint8_t {
   /// Fast-BNS-par (Section IV-B): CI-level parallelism with the dynamic
   /// work pool.
   kCiParallel,
-  /// Async depth-overlap extension: the CI-level dynamic pool, with
-  /// threads that find the pool momentarily dry materializing the next
-  /// depth's work list for already-settled edges instead of spinning —
-  /// the depth barrier shrinks to the truly last straggler.
-  kAsync,
   /// Multi-process rank-partition extension: the driver forks rank_count
   /// worker processes over a MAP_SHARED dataset segment, each rank owns
   /// the edges whose lower endpoint maps to its variable shard, and the

@@ -73,17 +73,8 @@ SkeletonResult learn_skeleton(VarId num_nodes, const CiTest& prototype,
     if (options.max_depth >= 0 && depth > options.max_depth) break;
     if (result.graph.num_edges() == 0) break;
 
-    // Depth-overlap handoff: an engine that materialized (part of) this
-    // depth's work list while the previous depth drained its tail hands
-    // it over here instead of the driver rebuilding from scratch. The
-    // handoff contract (take_prepared_depth_works) pins the result to be
-    // exactly what build_depth_works would produce from the committed
-    // graph, so the snapshot semantics of PC-stable are unchanged.
-    std::vector<EdgeWork> works;
-    if (!engine.take_prepared_depth_works(depth, result.graph, grouped,
-                                          works)) {
-      works = build_depth_works(result.graph, depth, grouped);
-    }
+    std::vector<EdgeWork> works =
+        build_depth_works(result.graph, depth, grouped);
     const bool any_tests =
         std::any_of(works.begin(), works.end(),
                     [](const EdgeWork& w) { return w.total_tests() > 0; });

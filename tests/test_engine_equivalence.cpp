@@ -6,6 +6,7 @@
 // implementations" and skip accuracy results entirely.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <memory>
 #include <string>
@@ -71,20 +72,16 @@ std::vector<EngineThreadsGs> registry_param_grid() {
     params.emplace_back(name, 2, 1);
     params.emplace_back(name, 4, 4);
   }
-  for (const auto& [threads, gs] :
-       {std::pair<int, std::int32_t>{2, 4}, {4, 6}, {3, 8}, {2, 16}}) {
-    params.emplace_back("fastbns-par(ci-level)", threads, gs);
-  }
-  // The async engine races next-depth preparation against the depth tail,
-  // so sweep it across thread counts too (different races, same result).
-  // threads = 0 keeps the OpenMP runtime default, which is what lets the
-  // CI workflow's OMP_NUM_THREADS=1/2/nproc sweep actually vary the
+  // The pool races claims and push-backs across threads, so sweep it
+  // across thread counts too (different races, same result). threads = 0
+  // keeps the OpenMP runtime default, which is what lets the CI
+  // workflow's OMP_NUM_THREADS=1/2/nproc sweep actually vary the
   // concurrency these configurations run at — every pinned thread count
   // overrides the environment.
   for (const auto& [threads, gs] :
-       {std::pair<int, std::int32_t>{2, 8}, {3, 4}, {4, 16}, {0, 1},
-        {0, 8}}) {
-    params.emplace_back("async(depth-overlap)", threads, gs);
+       {std::pair<int, std::int32_t>{2, 4}, {4, 6}, {3, 8}, {2, 16}, {2, 8},
+        {3, 4}, {4, 16}, {0, 1}, {0, 8}}) {
+    params.emplace_back("fastbns-par(ci-level)", threads, gs);
   }
   return params;
 }
@@ -220,34 +217,110 @@ TEST(EngineEquivalence, LargerGroupSizeNeverReducesTests) {
 
 TEST(EngineEquivalence, EagerGroupStopIsResultIdentical) {
   // The eager extension must change only the executed-test count, never
-  // the skeleton or the sepsets, at any gs and thread count — for both
-  // engines that schedule through the pool (bench_fig2 runs the async
-  // scheme with gs=8 + eager stop, so that combination must be pinned).
+  // the skeleton or the sepsets, at any gs and thread count (bench_fig2
+  // runs the CI-level scheme with gs=8 + eager stop, so that combination
+  // must be pinned).
   static const SkeletonResult reference = reference_result();
-  for (const EngineKind engine : {EngineKind::kCiParallel, EngineKind::kAsync}) {
-    for (const std::int32_t gs : {2, 8}) {
-      for (const int threads : {1, 3}) {
-        PcOptions options;
-        options.engine = engine;
-        options.num_threads = threads;
-        options.group_size = gs;
-        options.eager_group_stop = true;
-        const DiscreteCiTest test(fixture().data, {});
-        const SkeletonResult result =
-            learn_skeleton(fixture().data.num_vars(), test, options);
-        EXPECT_TRUE(result.graph == reference.graph)
-            << to_string(engine) << " gs=" << gs << " t=" << threads;
-        const VarId n = fixture().data.num_vars();
-        for (VarId u = 0; u < n; ++u) {
-          for (VarId v = u + 1; v < n; ++v) {
-            const auto* expected = reference.sepsets.find(u, v);
-            const auto* actual = result.sepsets.find(u, v);
-            ASSERT_EQ(expected == nullptr, actual == nullptr);
-            if (expected != nullptr) EXPECT_EQ(*expected, *actual);
+  for (const std::int32_t gs : {2, 8}) {
+    for (const int threads : {1, 3}) {
+      PcOptions options;
+      options.engine = EngineKind::kCiParallel;
+      options.num_threads = threads;
+      options.group_size = gs;
+      options.eager_group_stop = true;
+      const DiscreteCiTest test(fixture().data, {});
+      const SkeletonResult result =
+          learn_skeleton(fixture().data.num_vars(), test, options);
+      EXPECT_TRUE(result.graph == reference.graph)
+          << "gs=" << gs << " t=" << threads;
+      const VarId n = fixture().data.num_vars();
+      for (VarId u = 0; u < n; ++u) {
+        for (VarId v = u + 1; v < n; ++v) {
+          const auto* expected = reference.sepsets.find(u, v);
+          const auto* actual = result.sepsets.find(u, v);
+          ASSERT_EQ(expected == nullptr, actual == nullptr);
+          if (expected != nullptr) {
+            EXPECT_EQ(*expected, *actual);
           }
         }
       }
     }
+  }
+}
+
+/// Wraps a CI test and counts, across all of its clones, the group
+/// starts whose endpoint pair differs from the clone's previous group —
+/// the begin_group calls on which a DiscreteCiTest must recompute the
+/// endpoint codes instead of reusing them.
+class EndpointSwitchSpy final : public CiTest {
+ public:
+  EndpointSwitchSpy(std::unique_ptr<CiTest> inner,
+                    std::shared_ptr<std::atomic<std::int64_t>> switches)
+      : inner_(std::move(inner)), switches_(std::move(switches)) {}
+
+  CiResult test(VarId x, VarId y, std::span<const VarId> z) override {
+    ++tests_performed_;
+    return inner_->test(x, y, z);
+  }
+  void begin_group(VarId x, VarId y) override {
+    if (x != last_x_ || y != last_y_) {
+      switches_->fetch_add(1, std::memory_order_relaxed);
+      last_x_ = x;
+      last_y_ = y;
+    }
+    inner_->begin_group(x, y);
+  }
+  CiResult test_in_group(std::span<const VarId> z) override {
+    ++tests_performed_;
+    return inner_->test_in_group(z);
+  }
+  [[nodiscard]] std::uint64_t config_token() const noexcept override {
+    return inner_->config_token();
+  }
+  [[nodiscard]] std::unique_ptr<CiTest> clone() const override {
+    return std::make_unique<EndpointSwitchSpy>(inner_->clone(), switches_);
+  }
+
+ private:
+  std::unique_ptr<CiTest> inner_;
+  std::shared_ptr<std::atomic<std::int64_t>> switches_;
+  VarId last_x_ = kInvalidVar;
+  VarId last_y_ = kInvalidVar;
+};
+
+TEST(EngineEquivalence, CiLevelClaimKeepsEndpointCodesAcrossGroups) {
+  // Section IV-C: the endpoint codes x*|Y|+y are computed once per edge,
+  // not once per test. At gs = 1 every group is a single test, so this
+  // holds only if one pool claim runs several groups of the *same* edge.
+  // With one thread the LIFO pool hands a pushed-back edge straight back,
+  // so every claim of an edge after its first continues the cached pair:
+  // the switch count is bounded by the number of works per depth.
+  for (const char* network_name : {"alarm", "insurance"}) {
+    SCOPED_TRACE(network_name);
+    const std::optional<BayesianNetwork> network =
+        benchmark_network(network_name);
+    ASSERT_TRUE(network.has_value());
+    Rng rng(2024);
+    const DiscreteDataset data =
+        forward_sample(*network, 2000, rng, DataLayout::kBoth);
+
+    const auto switches = std::make_shared<std::atomic<std::int64_t>>(0);
+    const EndpointSwitchSpy test(
+        std::make_unique<DiscreteCiTest>(data, CiTestOptions{}), switches);
+    PcOptions options;
+    options.engine = EngineKind::kCiParallel;
+    options.num_threads = 1;
+    options.group_size = 1;
+    const SkeletonResult result =
+        learn_skeleton(data.num_vars(), test, options);
+
+    std::int64_t works = 0;
+    for (const DepthStats& stats : result.depth_stats) {
+      works += stats.edges_at_start;
+    }
+    EXPECT_GT(result.max_depth_reached, 1);
+    EXPECT_LE(switches->load(), works)
+        << "total CI tests: " << result.total_ci_tests;
   }
 }
 

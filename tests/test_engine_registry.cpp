@@ -16,13 +16,12 @@ namespace {
 
 TEST(EngineRegistry, ListsTheBuiltinEnginesSorted) {
   const std::vector<std::string> names = list_engines();
-  ASSERT_EQ(names.size(), 7u);
+  ASSERT_EQ(names.size(), 6u);
   // list_engines() is the stable, sorted order CLI help enumerates.
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   for (const char* expected :
        {"naive-seq", "fastbns-seq", "edge-parallel", "sample-parallel",
-        "fastbns-par(ci-level)", "async(depth-overlap)",
-        "process(rank-partition)"}) {
+        "fastbns-par(ci-level)", "process(rank-partition)"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }
@@ -32,11 +31,10 @@ TEST(EngineRegistry, ListsTheBuiltinEnginesSorted) {
   // sorts.
   const std::vector<std::string> registration_order =
       EngineRegistry{}.names();
-  ASSERT_EQ(registration_order.size(), 7u);
+  ASSERT_EQ(registration_order.size(), 6u);
   EXPECT_EQ(registration_order[0], "naive-seq");
   EXPECT_EQ(registration_order[4], "fastbns-par(ci-level)");
-  EXPECT_EQ(registration_order[5], "async(depth-overlap)");
-  EXPECT_EQ(registration_order[6], "process(rank-partition)");
+  EXPECT_EQ(registration_order[5], "process(rank-partition)");
 }
 
 TEST(EngineRegistry, CanonicalNamesRoundTrip) {
@@ -49,7 +47,7 @@ TEST(EngineRegistry, KindsRoundTripThroughNames) {
   for (const EngineKind kind :
        {EngineKind::kNaiveSequential, EngineKind::kFastSequential,
         EngineKind::kEdgeParallel, EngineKind::kSampleParallel,
-        EngineKind::kCiParallel, EngineKind::kAsync, EngineKind::kProcess}) {
+        EngineKind::kCiParallel, EngineKind::kProcess}) {
     EXPECT_EQ(engine_from_string(to_string(kind)), kind);
   }
 }
@@ -61,17 +59,21 @@ TEST(EngineRegistry, AliasesResolve) {
   EXPECT_EQ(engine_from_string("sample"), EngineKind::kSampleParallel);
   EXPECT_EQ(engine_from_string("ci"), EngineKind::kCiParallel);
   EXPECT_EQ(engine_from_string("fastbns-par"), EngineKind::kCiParallel);
-  EXPECT_EQ(engine_from_string("async"), EngineKind::kAsync);
-  EXPECT_EQ(engine_from_string("overlap"), EngineKind::kAsync);
+  // The deleted depth-overlap engine's canonical name is kept as a
+  // CI-level alias for the benchmark package's probe tests.
+  EXPECT_EQ(engine_from_string("async(depth-overlap)"),
+            EngineKind::kCiParallel);
   EXPECT_EQ(engine_from_string("process"), EngineKind::kProcess);
   EXPECT_EQ(engine_from_string("mpp"), EngineKind::kProcess);
 }
 
 TEST(EngineRegistry, UnknownNameThrowsListingKnownEngines) {
-  // "hybrid", "sharded" and "shard" name deleted engines, and "auto" is
-  // not an engine name either; they fail like any other unknown name.
+  // "hybrid", "sharded", "shard", "async" and "overlap" name deleted
+  // engines, and "auto" is not an engine name either; they fail like any
+  // other unknown name.
   for (const char* name : {"warp-drive", "hybrid", "sharded", "shard",
-                           "sharded(var-partition)", "auto"}) {
+                           "sharded(var-partition)", "auto", "async",
+                           "overlap"}) {
     try {
       (void)engine_from_string(name);
       FAIL() << "expected std::invalid_argument for " << name;

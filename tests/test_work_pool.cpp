@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -51,205 +50,6 @@ TEST(WorkPool, ZeroWorkIsImmediatelyComplete) {
   WorkPool pool({}, 0);
   EXPECT_TRUE(pool.all_complete());
   EXPECT_EQ(pool.try_pop(), std::nullopt);
-}
-
-TEST(WorkPool, BatchPopTakesUpToRequested) {
-  WorkPool pool({0, 1, 2, 3, 4}, 5);
-  std::vector<std::int64_t> out;
-  EXPECT_EQ(pool.try_pop_batch(3, out), 3u);
-  EXPECT_EQ(out, (std::vector<std::int64_t>{0, 1, 2}));
-  EXPECT_EQ(pool.try_pop_batch(10, out), 2u);
-  EXPECT_EQ(out, (std::vector<std::int64_t>{3, 4}));
-  EXPECT_EQ(pool.try_pop_batch(1, out), 0u);
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(WorkPool, BatchPushReturnsAllItems) {
-  WorkPool pool({}, 3);
-  pool.push_batch({7, 8, 9});
-  std::vector<std::int64_t> out;
-  EXPECT_EQ(pool.try_pop_batch(10, out), 3u);
-  // LIFO: last pushed (9) pops first.
-  EXPECT_EQ(out, (std::vector<std::int64_t>{9, 8, 7}));
-  pool.push_batch({});  // no-op
-  EXPECT_EQ(pool.try_pop_batch(1, out), 0u);
-}
-
-TEST(WorkPool, PopOrPrepPopsWithoutTouchingThePrepHook) {
-  WorkPool pool({0, 1}, 2);
-  int preps = 0;
-  const WorkPool::PrepHook prep = [&] {
-    ++preps;
-    return false;
-  };
-  EXPECT_EQ(pool.pop_or_prep(prep), 0);
-  EXPECT_EQ(pool.pop_or_prep(prep), 1);
-  EXPECT_EQ(preps, 0);  // work available: prep is tail-only
-}
-
-TEST(WorkPool, PopOrPrepReturnsNulloptOnZeroWork) {
-  WorkPool pool({}, 0);
-  EXPECT_EQ(pool.pop_or_prep({}), std::nullopt);
-}
-
-TEST(WorkPool, PopOrPrepRunsPrepWhileDryAndPopsWhatItProduces) {
-  // Dry pool, one outstanding work: the hook runs (outside the lock)
-  // until it stops reporting progress or feeds the stack. Here it
-  // "prepares" twice and then pushes the held edge back.
-  WorkPool pool({0}, 1);
-  ASSERT_EQ(pool.try_pop(), 0);
-  int preps = 0;
-  const WorkPool::PrepHook prep = [&] {
-    ++preps;
-    if (preps == 3) pool.push(0);
-    return true;
-  };
-  EXPECT_EQ(pool.pop_or_prep(prep), 0);
-  EXPECT_EQ(preps, 3);
-}
-
-TEST(WorkPool, PopOrPrepSeesCompletionReportedFromThePrepHook) {
-  WorkPool pool({0}, 1);
-  ASSERT_EQ(pool.try_pop(), 0);
-  const WorkPool::PrepHook prep = [&] {
-    pool.mark_complete();
-    return true;
-  };
-  EXPECT_EQ(pool.pop_or_prep(prep), std::nullopt);
-  EXPECT_TRUE(pool.all_complete());
-}
-
-TEST(WorkPool, PopOrPrepBlocksUntilWorkIsPushedBack) {
-  // The no-busy-spin wait: a thread with nothing to pop and nothing to
-  // prepare blocks until another thread pushes its edge back.
-  WorkPool pool({0}, 1);
-  ASSERT_EQ(pool.try_pop(), 0);
-  std::optional<std::int64_t> got;
-  std::thread waiter([&] { got = pool.pop_or_prep({}); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  pool.push(0);
-  waiter.join();
-  EXPECT_EQ(got, 0);
-}
-
-TEST(WorkPool, PopOrPrepWakesOnFinalCompletion) {
-  WorkPool pool({0}, 1);
-  ASSERT_EQ(pool.try_pop(), 0);
-  std::optional<std::int64_t> got = 123;
-  std::thread waiter([&] { got = pool.pop_or_prep({}); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  pool.mark_complete();
-  waiter.join();
-  EXPECT_EQ(got, std::nullopt);
-}
-
-TEST(WorkPool, PopOrPrepWakesSleepersToRetryPrepWhenAnEdgeSettles) {
-  // mark_complete with works still outstanding must wake a sleeping
-  // pop_or_prep so it can re-try its hook: a settled edge is new
-  // preparation input even though the stack did not grow.
-  WorkPool pool({0, 1}, 2);
-  ASSERT_EQ(pool.try_pop(), 0);
-  ASSERT_EQ(pool.try_pop(), 1);
-  std::atomic<int> preps{0};
-  std::optional<std::int64_t> got = 123;
-  std::thread waiter([&] {
-    got = pool.pop_or_prep([&] {
-      ++preps;
-      return false;  // nothing preppable yet: sleep
-    });
-  });
-  const auto wait_for_preps = [&](int at_least) {
-    for (int i = 0; i < 2000 && preps.load() < at_least; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return preps.load();
-  };
-  ASSERT_GE(wait_for_preps(1), 1);  // hook ran once, waiter now asleep
-  pool.mark_complete();             // edge 0 settles; 1 still outstanding
-  EXPECT_GE(wait_for_preps(2), 2);  // hook re-tried after the wake
-  pool.mark_complete();
-  waiter.join();
-  EXPECT_EQ(got, std::nullopt);
-}
-
-TEST(WorkPool, ContendedPopOrPrepTinyDepthsNoLostWakeupsNoDuplicatePreps) {
-  // Contention stress for pop_or_prep: many threads fight over pools far
-  // smaller than the team (tiny depths), so almost every pop lands in the
-  // dry tail — the regime where a lost wakeup would deadlock a sleeper
-  // and a racy prep gate would prepare an edge twice. Each round models
-  // the async engine's tail: an item is popped, briefly held (forcing the
-  // others dry), pushed back once and then completed; a completed item
-  // becomes preparation input that exactly one prep hook may claim.
-  //
-  // The assertions: every item delivered to one holder at a time (no
-  // duplicate delivery), visited exactly twice, prepared exactly once
-  // after settling, and every thread's pop_or_prep returns nullopt
-  // (threads joining at all is the no-lost-wakeup check — a sleeper the
-  // completion notify misses would hang the test into the ctest timeout).
-  constexpr int kThreads = 8;
-  constexpr int kRounds = 150;
-  for (int round = 0; round < kRounds; ++round) {
-    const std::int64_t items = 1 + round % 3;  // depths of 1–3 edges
-    std::vector<std::int64_t> initial(static_cast<std::size_t>(items));
-    for (std::int64_t i = 0; i < items; ++i) initial[static_cast<std::size_t>(i)] = i;
-    WorkPool pool(std::move(initial), items);
-
-    std::vector<std::atomic<bool>> held(static_cast<std::size_t>(items));
-    std::vector<std::atomic<int>> visits(static_cast<std::size_t>(items));
-    std::vector<std::atomic<bool>> settled(static_cast<std::size_t>(items));
-    std::vector<std::atomic<int>> preps(static_cast<std::size_t>(items));
-    std::atomic<bool> duplicate_delivery{false};
-
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&] {
-        const WorkPool::PrepHook prep = [&] {
-          // Claim one settled-but-unprepared edge, like the async
-          // engine's next-depth preparation; the per-edge counter is the
-          // duplicate-prep detector.
-          for (std::int64_t i = 0; i < items; ++i) {
-            const auto index = static_cast<std::size_t>(i);
-            if (!settled[index].load(std::memory_order_acquire)) continue;
-            if (preps[index].fetch_add(1, std::memory_order_acq_rel) == 0) {
-              return true;  // claimed: report progress, retry for more
-            }
-            preps[index].fetch_sub(1, std::memory_order_acq_rel);
-          }
-          return false;  // nothing claimable: sleep until the pool moves
-        };
-        while (true) {
-          const auto popped = pool.pop_or_prep(prep);
-          if (!popped.has_value()) break;  // depth complete
-          const auto index = static_cast<std::size_t>(*popped);
-          if (held[index].exchange(true)) duplicate_delivery = true;
-          const int visit = visits[index].fetch_add(1) + 1;
-          std::this_thread::yield();  // hold the edge: everyone else is dry
-          held[index].store(false);
-          if (visit == 1) {
-            pool.push(*popped);
-          } else {
-            settled[index].store(true, std::memory_order_release);
-            pool.mark_complete();
-          }
-        }
-      });
-    }
-    for (auto& thread : threads) thread.join();
-
-    EXPECT_FALSE(duplicate_delivery.load()) << "round " << round;
-    EXPECT_TRUE(pool.all_complete()) << "round " << round;
-    for (std::int64_t i = 0; i < items; ++i) {
-      const auto index = static_cast<std::size_t>(i);
-      EXPECT_EQ(visits[index].load(), 2)
-          << "round " << round << " item " << i;
-      // Settled edges are preparation input for the threads still inside
-      // pop_or_prep; whether one got to claim before the depth drained is
-      // timing, but a double claim is a bug at any timing.
-      EXPECT_LE(preps[index].load(), 1)
-          << "round " << round << " item " << i << " prepared twice";
-    }
-  }
 }
 
 TEST(WorkPool, ConcurrentDrainProcessesEveryItemExactlyOnce) {
