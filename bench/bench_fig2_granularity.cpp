@@ -27,7 +27,7 @@ EngineRunConfig scheme_config(const std::string& scheme, int threads,
     // The practical group size (Figure 4): one endpoint-code pass per 8
     // CI tests, amortizing the pool's per-group work the way the paper's
     // tuned configuration does; first-accept early stop keeps the larger
-    // group from paying redundant tests (see EXPERIMENTS.md).
+    // group from running tests past the one that removes the edge.
     config.group_size = 8;
     config.eager_group_stop = true;
   }

@@ -10,7 +10,6 @@
 #include "common/rng.hpp"
 #include "engine/engine_registry.hpp"
 #include "graph/graph_metrics.hpp"
-#include "inference/variable_elimination.hpp"
 #include "network/forward_sampler.hpp"
 #include "network/standard_networks.hpp"
 #include "pc/pc_stable.hpp"
@@ -103,20 +102,6 @@ int main(int argc, char** argv) {
         name, intersection.size(), expected.size(), learned.size());
   }
 
-  // Finally, *use* the network the way the paper motivates: probabilistic
-  // reasoning. Given an abnormal heart-rate reading and low CVP, how
-  // likely is left-ventricular failure or hypovolemia?
-  std::printf("\nDiagnostic queries on the ground-truth network:\n");
-  const Evidence symptoms{{alarm.index_of("HRBP"), 2},
-                          {alarm.index_of("CVP"), 0}};
-  for (const char* condition : {"LVFAILURE", "HYPOVOLEMIA", "PULMEMBOLUS"}) {
-    const VarId v = alarm.index_of(condition);
-    const auto prior = posterior_marginal(alarm, v, {});
-    const auto posterior = posterior_marginal(alarm, v, symptoms);
-    std::printf(
-        "  P(%s | HRBP=high, CVP=low) = %.3f   (prior %.3f)\n", condition,
-        posterior[0], prior[0]);
-  }
   std::printf(
       "\nNote: with more records the learned blanket converges to the true\n"
       "one; rerun with --samples 15000 to see the difference.\n");

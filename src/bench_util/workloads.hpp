@@ -28,9 +28,10 @@ struct Workload {
                                      DataLayout layout = DataLayout::kBoth);
 
 /// FASTBNS_BENCH_SCALE=paper selects the full Table II grid; anything else
-/// (default "small") uses a reduced grid sized for a laptop/CI box. The
-/// reduction preserves every *shape* the paper reports (who wins, rough
-/// factors, crossovers) — see EXPERIMENTS.md.
+/// (default "small") uses a reduced grid sized for a laptop/CI box: the
+/// five smallest networks, at most 2000 samples and at most 8 threads.
+/// CI-test cost is linear in the sample count, so the cap scales every
+/// engine's time alike rather than reordering the engines.
 enum class BenchScale { kSmall, kPaper };
 [[nodiscard]] BenchScale bench_scale();
 [[nodiscard]] const char* to_string(BenchScale scale);

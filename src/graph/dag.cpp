@@ -37,17 +37,6 @@ void Dag::add_edge_unchecked(VarId from, VarId to) {
   ++num_edges_;
 }
 
-bool Dag::remove_edge(VarId from, VarId to) noexcept {
-  auto& kids = children_[from];
-  const auto kid_it = std::find(kids.begin(), kids.end(), to);
-  if (kid_it == kids.end()) return false;
-  kids.erase(kid_it);
-  auto& pars = parents_[to];
-  pars.erase(std::find(pars.begin(), pars.end(), from));
-  --num_edges_;
-  return true;
-}
-
 bool Dag::would_create_cycle(VarId from, VarId to) const {
   // from->to creates a cycle iff `from` is reachable from `to`.
   std::vector<bool> visited(static_cast<std::size_t>(n_), false);

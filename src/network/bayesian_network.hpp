@@ -5,7 +5,6 @@
 // sampler, and learned CPDAGs are scored against cpdag_of_dag(its DAG).
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -45,9 +44,6 @@ class BayesianNetwork {
 
   /// Draws every CPT row from Dirichlet(alpha).
   void randomize_cpts(Rng& rng, double alpha = 1.0);
-
-  /// log P(assignment) under the factored joint.
-  [[nodiscard]] double log_probability(std::span<const DataValue> assignment) const;
 
   /// Structural sanity: acyclic DAG, CPT shapes match, rows normalized.
   [[nodiscard]] bool valid() const;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.hpp"
 
 namespace fastbns {
@@ -251,6 +253,70 @@ TEST(DiscreteCiTest, TableBuilderOptionSelectsTheKernel) {
   CiTestOptions bad;
   bad.table_builder = "gpu";
   EXPECT_THROW(DiscreteCiTest(data, bad), std::invalid_argument);
+}
+
+TEST(DiscreteCiTest, ConstantColumnIsIndependentWithPValueOne) {
+  // Column 0 never varies. Declared binary, its empty second row keeps the
+  // standard df positive but contributes nothing to G^2 or X^2; inferred
+  // with one state, df is 0. Either way no test with it as an endpoint
+  // can reject.
+  for (const std::int32_t constant_card : {1, 2}) {
+    DiscreteDataset data(3, 400, {constant_card, 3, 2}, DataLayout::kBoth);
+    Rng rng(59);
+    for (Count s = 0; s < 400; ++s) {
+      data.set(s, 0, 0);
+      data.set(s, 1, static_cast<DataValue>(rng.next_below(3)));
+      data.set(s, 2, static_cast<DataValue>(rng.next_below(2)));
+    }
+    for (const StatisticKind statistic :
+         {StatisticKind::kG2, StatisticKind::kPearsonChiSquare}) {
+      CiTestOptions options;
+      options.statistic = statistic;
+      DiscreteCiTest test(data, options);
+      const std::vector<VarId> z{2};
+      for (const CiResult& result :
+           {test.test(0, 1, {}), test.test(1, 0, {}), test.test(0, 1, z),
+            test.test(1, 0, z)}) {
+        EXPECT_TRUE(result.independent) << constant_card;
+        EXPECT_EQ(result.p_value, 1.0) << constant_card;
+        EXPECT_EQ(result.statistic, 0.0) << constant_card;
+      }
+    }
+  }
+}
+
+TEST(DiscreteCiTest, FewerRowsThanDegreesOfFreedomStaysDefined) {
+  // 12 rows against a 6 x 6 x 4 table: df = 5 * 5 * 4 = 100. G^2 is at
+  // most 2 * m * ln 6 (about 43), far below df, so the test cannot
+  // reject, and every kernel must report the same finite result.
+  DiscreteDataset data(3, 12, {6, 6, 4}, DataLayout::kBoth);
+  Rng rng(61);
+  for (Count s = 0; s < 12; ++s) {
+    for (VarId v = 0; v < 3; ++v) {
+      data.set(s, v, static_cast<DataValue>(rng.next_below(
+                         static_cast<std::uint64_t>(data.cardinality(v)))));
+    }
+  }
+  const std::vector<VarId> z{2};
+  CiTestOptions scalar_options;
+  scalar_options.table_builder = "scalar";
+  DiscreteCiTest scalar_test(data, scalar_options);
+  const CiResult reference = scalar_test.test(0, 1, z);
+  EXPECT_EQ(reference.degrees_of_freedom, 100);
+  EXPECT_TRUE(std::isfinite(reference.statistic));
+  EXPECT_GE(reference.p_value, 0.0);
+  EXPECT_LE(reference.p_value, 1.0);
+  EXPECT_TRUE(reference.independent);
+  for (const char* name : {"batched", "simd"}) {
+    CiTestOptions options;
+    options.table_builder = name;
+    DiscreteCiTest test(data, options);
+    const CiResult result = test.test(0, 1, z);
+    EXPECT_EQ(result.statistic, reference.statistic) << name;
+    EXPECT_EQ(result.p_value, reference.p_value) << name;
+    EXPECT_EQ(result.degrees_of_freedom, reference.degrees_of_freedom)
+        << name;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// The library's central property: all five skeleton engines — at any
-// thread count and any group size — produce the identical skeleton and
+// The library's central property: every registered skeleton engine — at any
+// thread count and any group size — produces the identical skeleton and
 // separating sets, because PC-stable is order-independent and the engines
 // share one canonical test order. This is what lets the paper claim
 // "the accuracy of Fast-BNS is exactly the same as the other PC-stable
@@ -343,6 +343,101 @@ TEST(EngineEquivalence, EagerGroupStopNeverExecutesMoreTests) {
   const SkeletonResult baseline =
       learn_skeleton(fixture().data.num_vars(), test, gs1);
   EXPECT_EQ(stopped.total_ci_tests, baseline.total_ci_tests);
+}
+
+/// Discrete inputs the sampled fixture never produces. Column 0 is
+/// constant (declared binary, one observed state). Columns 1 and 2 have
+/// 20 states each, so their pair's cx * cy = 400 codes skip the packed
+/// uint8 xy mirror. Columns 3 and 4 (3 states each) are both children of
+/// column 2, so the 1 -- 2 edge is still tested at depth 2, where the
+/// simd kernel takes its vector path. Column 5 is an independent coin.
+DiscreteDataset degenerate_dataset(Count m, std::uint64_t seed) {
+  DiscreteDataset data(6, m, {2, 20, 20, 3, 3, 2}, DataLayout::kBoth);
+  Rng rng(seed);
+  const auto noisy = [&rng](DataValue value, std::uint64_t states) {
+    return rng.next_double() < 0.8
+               ? value
+               : static_cast<DataValue>(rng.next_below(states));
+  };
+  for (Count s = 0; s < m; ++s) {
+    const auto a = static_cast<DataValue>(rng.next_below(20));
+    const DataValue b = noisy(a, 20);
+    data.set(s, 0, 0);
+    data.set(s, 1, a);
+    data.set(s, 2, b);
+    data.set(s, 3, noisy(static_cast<DataValue>(b % 3), 3));
+    data.set(s, 4, noisy(static_cast<DataValue>(b / 7), 3));
+    data.set(s, 5, static_cast<DataValue>(rng.next_below(2)));
+  }
+  return data;
+}
+
+TEST(EngineEquivalence, DegenerateDiscreteInputsAgreeAcrossKernelsAndEngines) {
+  // 20000 rows make every dependence unmistakable; 15 rows are fewer
+  // than the degrees of freedom of every test on the wide pair
+  // (19 * 19 = 361). Every kernel under every engine must reproduce the
+  // fastbns-seq/scalar skeleton and sepsets, and the constant column must
+  // lose all its edges at depth 0 (an empty sepset per pair).
+  for (const Count m : {Count{20000}, Count{15}}) {
+    const DiscreteDataset data = degenerate_dataset(m, 83);
+    const VarId n = data.num_vars();
+    ScratchArena arena;
+    ASSERT_TRUE(make_table_context(data, 1, 2, /*row_major=*/false, arena)
+                    .xy_codes8.empty());
+    PcOptions reference_options;
+    reference_options.engine = EngineKind::kFastSequential;
+    CiTestOptions scalar;
+    scalar.table_builder = "scalar";
+    const SkeletonResult reference =
+        learn_skeleton(n, DiscreteCiTest(data, scalar), reference_options);
+    for (VarId v = 1; v < n; ++v) {
+      EXPECT_FALSE(reference.graph.has_edge(0, v)) << "m=" << m;
+      const auto* sepset = reference.sepsets.find(0, v);
+      ASSERT_NE(sepset, nullptr) << "m=" << m << " v=" << v;
+      EXPECT_TRUE(sepset->empty()) << "m=" << m << " v=" << v;
+    }
+    if (m == 20000) {
+      // The star 1, 3, 4 -- 2 survives and its leaves separate given 2,
+      // so the wide pair is counted at depths 0, 1 and 2.
+      EXPECT_GE(reference.max_depth_reached, 2);
+      for (const VarId leaf : {1, 3, 4}) {
+        EXPECT_TRUE(reference.graph.has_edge(2, leaf)) << leaf;
+      }
+      const auto* sepset = reference.sepsets.find(1, 3);
+      ASSERT_NE(sepset, nullptr);
+      EXPECT_EQ(*sepset, (std::vector<VarId>{2}));
+    }
+
+    for (const char* kernel : {"scalar", "batched", "simd"}) {
+      for (const std::string& name : list_engines()) {
+        const std::string label =
+            name + " kernel=" + kernel + " m=" + std::to_string(m);
+        PcOptions options;
+        options.engine = engine_from_string(name);
+        options.engine_name = name;
+        options.num_threads = 2;
+        options.group_size = 4;
+        CiTestOptions test_options;
+        test_options.table_builder = kernel;
+        test_options.sample_parallel =
+            EngineRegistry::instance().find(name)->sample_parallel_test;
+        const SkeletonResult result =
+            learn_skeleton(n, DiscreteCiTest(data, test_options), options);
+        EXPECT_TRUE(result.graph == reference.graph) << label;
+        for (VarId u = 0; u < n; ++u) {
+          for (VarId v = u + 1; v < n; ++v) {
+            const auto* expected = reference.sepsets.find(u, v);
+            const auto* actual = result.sepsets.find(u, v);
+            ASSERT_EQ(expected == nullptr, actual == nullptr)
+                << label << ": " << u << "," << v;
+            if (expected != nullptr) {
+              EXPECT_EQ(*expected, *actual) << label << ": " << u << "," << v;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(EngineEquivalence, GaussianSkeletonIdenticalAcrossRegisteredEngines) {

@@ -1,6 +1,6 @@
 // Cross-module integration: the full user journey — define a network in
-// BIF, sample it, persist to CSV, reload, learn the structure with every
-// engine, orient, and run posterior queries — all through public APIs.
+// BIF, sample it, persist to CSV, reload, learn the CPDAG, and check its
+// skeleton against the generating network — all through public APIs.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -8,12 +8,10 @@
 #include "common/rng.hpp"
 #include "dataset/dataset_io.hpp"
 #include "graph/graph_metrics.hpp"
-#include "inference/variable_elimination.hpp"
 #include "network/bif_parser.hpp"
 #include "network/forward_sampler.hpp"
 #include "network/standard_networks.hpp"
 #include "pc/pc_stable.hpp"
-#include "score/hill_climbing.hpp"
 
 namespace fastbns {
 namespace {
@@ -28,7 +26,7 @@ class PipelineTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(PipelineTest, BifToCsvToLearnedCpdagToInference) {
+TEST_F(PipelineTest, BifToCsvToLearnedCpdag) {
   // 1. Ship the ALARM network as BIF and read it back.
   const BayesianNetwork alarm = alarm_network();
   const std::string bif_path = (dir_ / "alarm.bif").string();
@@ -58,15 +56,6 @@ TEST_F(PipelineTest, BifToCsvToLearnedCpdagToInference) {
   const SkeletonMetrics metrics =
       compare_skeletons(learned.skeleton.graph, alarm.dag().skeleton());
   EXPECT_GT(metrics.f1(), 0.8);
-
-  // 5. Reason with the ground-truth parameters: conditioning on symptoms
-  //    moves the posterior.
-  const Evidence evidence{{alarm.index_of("HRBP"), 2},
-                          {alarm.index_of("CVP"), 0}};
-  const VarId hypovolemia = alarm.index_of("HYPOVOLEMIA");
-  const auto prior = posterior_marginal(alarm, hypovolemia, {});
-  const auto posterior = posterior_marginal(alarm, hypovolemia, evidence);
-  EXPECT_NE(prior[0], posterior[0]);
 }
 
 TEST_F(PipelineTest, CsvRoundTripPreservesLearnedStructure) {
@@ -83,9 +72,9 @@ TEST_F(PipelineTest, CsvRoundTripPreservesLearnedStructure) {
   EXPECT_TRUE(from_original.cpdag == from_reloaded.cpdag);
 }
 
-TEST_F(PipelineTest, ConstraintAndScoreBasedAgreeOnStrongStructure) {
-  // Both learning families must find the same skeleton on clean,
-  // well-sampled data from a small network.
+TEST_F(PipelineTest, RecoversTrueSkeletonOfStrongChain) {
+  // PC-stable must find the generating skeleton on clean, well-sampled
+  // data from a small network.
   const BayesianNetwork sprinkler = parse_bif_string(R"(
 network s { }
 variable A { type discrete [ 2 ] { a0, a1 }; }
@@ -98,8 +87,6 @@ probability ( C | B ) { (b0) 0.85, 0.15; (b1) 0.1, 0.9; }
   Rng rng(47);
   DiscreteDataset data = forward_sample(sprinkler, 4000, rng);
   const PcStableResult constraint = learn_structure(data, {});
-  const HillClimbingResult score = hill_climb(data);
-  EXPECT_TRUE(constraint.skeleton.graph == score.dag.skeleton());
   EXPECT_TRUE(constraint.skeleton.graph == sprinkler.dag().skeleton());
 }
 

@@ -417,6 +417,9 @@ TEST(TableBuilder, SimdMatchesScalarAcrossCardinalityBoundaries) {
       data, 0, 1,
       {{2}, {3}, {2, 4}, {3, 4}, {2, 3}, {2, 4}, {3, 4}},
       "boundary-cards");
+  // A 2 x 255 endpoint pair: cx * cy = 510 codes do not fit the packed
+  // uint8 mirror, so the vector path must compose from the int32 codes.
+  expect_simd_matches_scalar(data, 0, 2, {{1, 4}, {1, 3}}, "wide-endpoints");
 }
 
 TEST(TableBuilder, SimdHandlesNonVectorWidthSampleCounts) {
